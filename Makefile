@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify soak serve-smoke restart-soak fuzz-smoke fuzz-soak fleet-soak load-soak bench-snapshot obs-smoke
+.PHONY: build test race vet verify soak serve-smoke restart-soak fuzz-smoke fuzz-soak fleet-soak load-soak obs-smoke
 
 build:
 	$(GO) build ./...
@@ -70,12 +70,6 @@ load-soak:
 # exposes the job-level Prometheus series (SERVE_PORT tunes the port).
 obs-smoke:
 	./scripts/obs_smoke.sh
-
-# bench-snapshot runs the paper-replication benchmark suite and appends
-# a dated entry to BENCH_core.json (BENCH_PATTERN/BENCH_COUNT/BENCH_OUT
-# tune selection, repetitions, and the output file).
-bench-snapshot:
-	./scripts/bench_snapshot.sh
 
 # fuzz-soak runs a differential conformance fuzz campaign: generated
 # instruction sequences dual-executed (reference interpreter vs OoO

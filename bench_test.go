@@ -18,8 +18,6 @@ import (
 	"ptlsim/internal/core"
 	"ptlsim/internal/cosim"
 	"ptlsim/internal/experiments"
-	"ptlsim/internal/guest"
-	"ptlsim/internal/kern"
 	"ptlsim/internal/ooo"
 	"ptlsim/internal/stats"
 )
@@ -108,26 +106,6 @@ func BenchmarkFigure3(b *testing.B) {
 	b.ReportMetric(find("Mispredicted %").Sim, "mispredict%")
 	b.ReportMetric(find("DTLB Miss Rate %").Sim, "dtlbmiss%")
 	b.ReportMetric(find("L1 Misses as %").Sim, "l1dmiss%")
-}
-
-// BenchmarkSimThroughput measures simulator speed in simulated cycles
-// per wall-clock second (the paper reported 415,540 cycles/second on
-// 2007 hardware, §5).
-func BenchmarkSimThroughput(b *testing.B) {
-	cfg := experiments.BenchScale()
-	var cyclesPerSec float64
-	for i := 0; i < b.N; i++ {
-		m, console, wall, err := experiments.RunSimWith(cfg, core.Config{
-			Core: ooo.K8Config(), NativeCPI: 1, ThreadsPerCore: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !strings.Contains(console, "rsync ok") {
-			b.Fatalf("run failed: %q", console)
-		}
-		cyclesPerSec = float64(m.Cycle) / wall.Seconds()
-	}
-	b.ReportMetric(cyclesPerSec, "sim-cycles/s")
 }
 
 // BenchmarkUserspaceOnlyPitfall quantifies §6.4: the fraction of all
@@ -292,19 +270,12 @@ func BenchmarkAblationCoherence(b *testing.B) {
 // (§2.3): wall-time speedup versus the full cycle accurate run, and
 // the error it introduces into the sampled mispredict rate.
 func BenchmarkAblationSampling(b *testing.B) {
-	build := func() (*core.Machine, *stats.Tree) {
-		cfg := experiments.BenchScale()
-		tree := stats.NewTree()
-		spec, err := guest.RsyncBenchmark(cfg.Corpus, cfg.TimerPeriod)
+	build := func(mode core.Mode) (*core.Machine, *stats.Tree) {
+		m, err := experiments.Boot(experiments.BenchScale(), core.DefaultConfig(), mode)
 		if err != nil {
 			b.Fatal(err)
 		}
-		spec.Tree = tree
-		img, err := kern.Build(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return core.NewMachine(img.Domain, tree, core.DefaultConfig()), tree
+		return m, m.Tree
 	}
 	rate := func(tree *stats.Tree) float64 {
 		mp := float64(tree.Lookup("core0.mispredicts").Value())
@@ -316,14 +287,13 @@ func BenchmarkAblationSampling(b *testing.B) {
 	}
 	var fullRate, sampRate, simShare float64
 	for i := 0; i < b.N; i++ {
-		mFull, tFull := build()
-		mFull.SwitchMode(core.ModeSim)
+		mFull, tFull := build(core.ModeSim)
 		if err := mFull.Run(0); err != nil {
 			b.Fatal(err)
 		}
 		fullRate = rate(tFull)
 
-		mSamp, tSamp := build()
+		mSamp, tSamp := build(core.ModeNative)
 		if err := cosim.RunSampled(mSamp, cosim.SampleConfig{SimInsns: 50_000, NativeInsns: 200_000}, 0); err != nil {
 			b.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 // kind, restore and rotation-discard counts, degraded windows,
 // self-check and triage verdicts, and the run outcome. tail > 0
 // additionally prints the last tail raw events. The rendering lives in
-// supervisor.WriteReport so ptlstats -journal prints the same view.
+// supervisor.WriteReport.
 func reportJournal(w io.Writer, path string, tail int) error {
 	f, err := os.Open(path)
 	if err != nil {

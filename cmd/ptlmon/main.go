@@ -23,9 +23,8 @@ import (
 	"os"
 
 	"ptlsim/internal/core"
+	"ptlsim/internal/experiments"
 	"ptlsim/internal/guest"
-	"ptlsim/internal/kern"
-	"ptlsim/internal/stats"
 	"ptlsim/internal/trace"
 )
 
@@ -68,18 +67,16 @@ func main() {
 		return
 	}
 
+	engine := core.ModeNative
+	if *mode == "sim" {
+		engine = core.ModeSim
+	}
 	cs := guest.CorpusSpec{NFiles: *nfiles, FileSize: *fsize, Seed: 20070425, ChangeFraction: 0.25}
-	tree := stats.NewTree()
-	spec, err := guest.RsyncBenchmark(cs, 0)
+	m, err := experiments.Boot(experiments.Config{Corpus: cs}, core.DefaultConfig(), engine)
 	if err != nil {
 		fatal(err)
 	}
-	spec.Tree = tree
-	img, err := kern.Build(spec)
-	if err != nil {
-		fatal(err)
-	}
-	dom := img.Domain
+	dom, tree := m.Dom, m.Tree
 
 	var rec *trace.Recorder
 	if *record != "" {
@@ -100,10 +97,6 @@ func main() {
 		fmt.Printf("ptlmon: replaying %d recorded device events\n", len(tr.Events))
 	}
 
-	m := core.NewMachine(dom, tree, core.DefaultConfig())
-	if *mode == "sim" {
-		m.SwitchMode(core.ModeSim)
-	}
 	fmt.Printf("ptlmon: booting domain (%d vcpus, %d machine pages)\n",
 		len(dom.VCPUs), dom.M.PM.NumPages())
 	if err := m.Run(*maxCyc); err != nil {

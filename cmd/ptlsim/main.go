@@ -25,15 +25,11 @@ import (
 	"syscall"
 
 	"ptlsim/internal/conformance"
-	"ptlsim/internal/conformance/corpus"
 	"ptlsim/internal/core"
 	"ptlsim/internal/cosim"
 	"ptlsim/internal/evlog"
 	"ptlsim/internal/experiments"
 	"ptlsim/internal/faultinject"
-	"ptlsim/internal/guest"
-	"ptlsim/internal/kern"
-	"ptlsim/internal/ooo"
 	"ptlsim/internal/selfcheck"
 	"ptlsim/internal/simerr"
 	"ptlsim/internal/snapshot"
@@ -112,7 +108,7 @@ func main() {
 		w = f
 	}
 
-	cfg := pickScale(*scale)
+	cfg := experiments.Scale(*scale)
 	if *nfiles > 0 {
 		cfg.Corpus.NFiles = *nfiles
 	}
@@ -147,17 +143,16 @@ func main() {
 	}
 
 	if *fuzzF {
-		runFuzz(ctx, w, fuzzFlags{
-			seqs: *fuzzSeqs, seed: *fuzzSeed, maxInsns: *fuzzInsns,
-			maxUnits: *fuzzUnits, timingSeeds: *fuzzTSeeds,
-			promote: *fuzzOut, benchOut: *fuzzBench,
-			journal: *journalOut, inject: *inject,
-		})
+		runFuzz(ctx, w, conformance.CampaignConfig{
+			Run:  conformance.Config{MaxInsns: *fuzzInsns},
+			Seqs: *fuzzSeqs, Seed: *fuzzSeed, MaxUnits: *fuzzUnits,
+			PromoteDir: *fuzzOut,
+		}, *fuzzTSeeds, *inject, *journalOut, *fuzzBench)
 		return
 	}
 
 	// Plain benchmark run (or checkpoint resume).
-	mcfg := core.Config{Core: coreConfig(*coreKind), NativeCPI: 1,
+	mcfg := core.Config{Core: experiments.CoreConfig(*coreKind), NativeCPI: 1,
 		SnapshotCycles: cfg.SnapshotCycles, ThreadsPerCore: 1,
 		WatchdogCycles: *watchdog,
 		SelfCheck: selfcheck.Config{Oracle: *selfcheckF, Interval: *scInterval,
@@ -166,7 +161,6 @@ func main() {
 		fatal(err)
 	}
 	var m *core.Machine
-	tree := stats.NewTree()
 	if *restoreIn != "" {
 		ckimg, err := snapshot.ReadFile(*restoreIn)
 		if err != nil {
@@ -175,19 +169,13 @@ func main() {
 		if m, err = snapshot.Restore(ckimg, mcfg); err != nil {
 			fatal(err)
 		}
-		tree = m.Tree
 	} else {
-		spec, err := guest.RsyncBenchmark(cfg.Corpus, cfg.TimerPeriod)
-		if err != nil {
+		var err error
+		if m, err = experiments.Boot(cfg, mcfg, core.ModeNative); err != nil {
 			fatal(err)
 		}
-		spec.Tree = tree
-		img, err := kern.Build(spec)
-		if err != nil {
-			fatal(err)
-		}
-		m = core.NewMachine(img.Domain, tree, mcfg)
 	}
+	tree := m.Tree
 
 	if *inject != "" {
 		specs, err := faultinject.ParseList(*inject)
@@ -313,61 +301,24 @@ func main() {
 	}
 }
 
-type fuzzFlags struct {
-	seqs        int
-	seed        int64
-	maxInsns    int64
-	maxUnits    int
-	timingSeeds int
-	promote     string
-	benchOut    string
-	journal     string
-	inject      string
-}
-
 // runFuzz drives a conformance fuzz campaign: generate sequences, run
 // them through both engines under the commit oracle, shrink and
 // promote findings. Exits nonzero when the campaign found anything.
-func runFuzz(ctx context.Context, w *os.File, ff fuzzFlags) {
-	run := conformance.Config{MaxInsns: ff.maxInsns}
-	for k := 0; k < ff.timingSeeds; k++ {
-		run.TimingSeeds = append(run.TimingSeeds, ff.seed*1_000_003+int64(k)+1)
+func runFuzz(ctx context.Context, w *os.File, cc conformance.CampaignConfig,
+	timingSeeds int, inject, journal, benchOut string) {
+	cc, err := conformance.NewCampaign(cc, timingSeeds, inject)
+	if err != nil {
+		fatal(err)
 	}
-	if ff.inject != "" {
-		specs, err := faultinject.ParseList(ff.inject)
-		if err != nil {
-			fatal(err)
-		}
-		run.Instrument = func(m *core.Machine) { faultinject.New(specs...).Attach(m) }
-	}
-	var j *supervisor.Journal
-	if ff.journal != "" {
-		jf, err := os.OpenFile(ff.journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if journal != "" {
+		jf, err := os.OpenFile(journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fatal(err)
 		}
 		defer jf.Close()
-		j = supervisor.NewJournal(jf)
+		cc.Journal = supervisor.NewJournal(jf)
 	}
-	// The shared seed corpus feeds the byte-level mutator; outside a
-	// repo checkout (no go.mod to anchor on) the pool is just empty and
-	// every sequence comes from the DSL templates.
-	var pool [][]byte
-	if dir, derr := corpus.SeedDir(); derr == nil {
-		cases, lerr := corpus.Load(dir)
-		if lerr != nil {
-			fatal(lerr)
-		}
-		for _, cs := range cases {
-			if code, cerr := cs.Code(); cerr == nil && len(code) > 0 {
-				pool = append(pool, code)
-			}
-		}
-	}
-	res, err := conformance.RunCampaign(ctx, conformance.CampaignConfig{
-		Run: run, Seqs: ff.seqs, Seed: ff.seed, MaxUnits: ff.maxUnits,
-		SeedPool: pool, Journal: j, PromoteDir: ff.promote,
-	})
+	res, err := conformance.RunCampaign(ctx, cc)
 	if err != nil {
 		fatal(err)
 	}
@@ -379,7 +330,7 @@ func runFuzz(ctx context.Context, w *os.File, ff fuzzFlags) {
 	for _, p := range res.Promoted {
 		fmt.Fprintf(w, "  promoted %s\n", p)
 	}
-	if ff.benchOut != "" {
+	if benchOut != "" {
 		bench := map[string]any{
 			"seqs": res.Seqs, "elapsed_sec": res.ElapsedSec,
 			"seqs_per_sec": res.SeqsPerSec, "shrink_ms": res.ShrinkMs,
@@ -389,7 +340,7 @@ func runFuzz(ctx context.Context, w *os.File, ff fuzzFlags) {
 		if merr != nil {
 			fatal(merr)
 		}
-		if werr := os.WriteFile(ff.benchOut, data, 0o644); werr != nil {
+		if werr := os.WriteFile(benchOut, data, 0o644); werr != nil {
 			fatal(werr)
 		}
 	}
@@ -400,26 +351,6 @@ func runFuzz(ctx context.Context, w *os.File, ff fuzzFlags) {
 	if len(res.Findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-func pickScale(s string) experiments.Config {
-	switch s {
-	case "small":
-		cfg := experiments.BenchScale()
-		cfg.Corpus = guest.CorpusSpec{NFiles: 2, FileSize: 2048, Seed: 7, ChangeFraction: 0.3}
-		return cfg
-	case "paper":
-		return experiments.PaperScale()
-	default:
-		return experiments.BenchScale()
-	}
-}
-
-func coreConfig(kind string) ooo.Config {
-	if kind == "default" {
-		return ooo.DefaultConfig()
-	}
-	return ooo.K8Config()
 }
 
 func runExperiment(w *os.File, name string, cfg experiments.Config) {

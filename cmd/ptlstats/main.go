@@ -9,7 +9,6 @@
 //	ptlstats -in run.json -subtract 3,10 -table core0.cache
 //	ptlstats -in run.json -series mode
 //	ptlstats -in run.json -series uarch
-//	ptlstats -journal run.jsonl -tail 5
 //	ptlstats -pipeline run.evlog -format chrome -o trace.json
 //	ptlstats -pipeline run.evlog -format konata -o run.kanata
 package main
@@ -26,7 +25,6 @@ import (
 	"ptlsim/internal/evlog"
 	"ptlsim/internal/experiments"
 	"ptlsim/internal/stats"
-	"ptlsim/internal/supervisor"
 )
 
 type statsFile struct {
@@ -47,8 +45,6 @@ func main() {
 		table    = flag.String("table", "", "print final counters matching this prefix")
 		subtract = flag.String("subtract", "", "snapshot pair \"a,b\": print counters for the interval (b - a)")
 		series   = flag.String("series", "", "print a time-lapse series: mode (Figure 2) | uarch (Figure 3)")
-		journal  = flag.String("journal", "", "summarize a supervisor run journal (JSONL) and exit")
-		tailN    = flag.Int("tail", 0, "with -journal: also print the last N events")
 		pipeline = flag.String("pipeline", "", "render a pipeline event log (ptlsim -evlog JSONL) and exit")
 		format   = flag.String("format", "chrome", "with -pipeline: chrome (trace_event JSON) | konata (Kanata text) | text")
 		out      = flag.String("o", "", "with -pipeline: write output here instead of stdout")
@@ -58,22 +54,6 @@ func main() {
 		if err := renderPipeline(*pipeline, *format, *out); err != nil {
 			fatal(err)
 		}
-		return
-	}
-	if *journal != "" {
-		f, err := os.Open(*journal)
-		if err != nil {
-			fatal(err)
-		}
-		entries, skipped, err := supervisor.ReadJournalSkipping(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if skipped > 0 {
-			fmt.Printf("warning: skipped %d torn journal line(s)\n", skipped)
-		}
-		supervisor.WriteReport(os.Stdout, entries, *tailN)
 		return
 	}
 	if *in == "" {

@@ -11,27 +11,24 @@ import (
 
 	"ptlsim/internal/core"
 	"ptlsim/internal/cosim"
+	"ptlsim/internal/experiments"
 	"ptlsim/internal/guest"
 	"ptlsim/internal/hv"
-	"ptlsim/internal/kern"
-	"ptlsim/internal/stats"
 )
 
 func main() {
 	// A deterministic, timer-free guest so both engines follow the
 	// same instruction trajectory.
-	cs := guest.CorpusSpec{NFiles: 1, FileSize: 1024, Seed: 5, ChangeFraction: 0.4}
+	cfg := experiments.Config{
+		Corpus:      guest.CorpusSpec{NFiles: 1, FileSize: 1024, Seed: 5, ChangeFraction: 0.4},
+		TimerPeriod: 4_000_000_000,
+	}
 	build := func() (*hv.Domain, error) {
-		spec, err := guest.RsyncBenchmark(cs, 4_000_000_000)
+		m, err := experiments.Boot(cfg, core.DefaultConfig(), core.ModeNative)
 		if err != nil {
 			return nil, err
 		}
-		spec.Tree = stats.NewTree()
-		img, err := kern.Build(spec)
-		if err != nil {
-			return nil, err
-		}
-		return img.Domain, nil
+		return m.Dom, nil
 	}
 
 	fmt.Println("comparing the out-of-order core against the functional reference...")

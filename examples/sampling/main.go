@@ -12,24 +12,15 @@ import (
 
 	"ptlsim/internal/core"
 	"ptlsim/internal/cosim"
-	"ptlsim/internal/guest"
-	"ptlsim/internal/kern"
-	"ptlsim/internal/stats"
+	"ptlsim/internal/experiments"
 )
 
 func run(sample *cosim.SampleConfig) (time.Duration, int64, int64, string) {
-	cs := guest.CorpusSpec{NFiles: 4, FileSize: 8192, Seed: 20070425, ChangeFraction: 0.25}
-	tree := stats.NewTree()
-	spec, err := guest.RsyncBenchmark(cs, 220_000)
+	m, err := experiments.Boot(experiments.BenchScale(), core.DefaultConfig(), core.ModeNative)
 	if err != nil {
 		panic(err)
 	}
-	spec.Tree = tree
-	img, err := kern.Build(spec)
-	if err != nil {
-		panic(err)
-	}
-	m := core.NewMachine(img.Domain, tree, core.DefaultConfig())
+	tree := m.Tree
 	start := time.Now()
 	if sample == nil {
 		m.SwitchMode(core.ModeSim)
@@ -44,7 +35,7 @@ func run(sample *cosim.SampleConfig) (time.Duration, int64, int64, string) {
 	return time.Since(start),
 		tree.Lookup("core0.commit.insns").Value(),
 		tree.Lookup("seq0.insns").Value(),
-		img.Domain.Console()
+		m.Dom.Console()
 }
 
 func main() {

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"ptlsim/internal/conformance/corpus"
+	"ptlsim/internal/core"
+	"ptlsim/internal/faultinject"
 	"ptlsim/internal/simerr"
 	"ptlsim/internal/supervisor"
 )
@@ -60,6 +62,39 @@ func (cc CampaignConfig) withDefaults() CampaignConfig {
 		cc.MaxFindings = 10
 	}
 	return cc
+}
+
+// NewCampaign completes cc with what every front end (ptlsim -fuzz, a
+// jobd fuzz job) must derive identically, so one campaign seed means
+// one sequence stream whoever launches it: timingSeeds predictor
+// scrambles derived from cc.Seed, the shared seed corpus as the
+// mutator's pool, and inject (a faultinject spec list) attached to
+// every simulated machine.
+func NewCampaign(cc CampaignConfig, timingSeeds int, inject string) (CampaignConfig, error) {
+	for k := 0; k < timingSeeds; k++ {
+		cc.Run.TimingSeeds = append(cc.Run.TimingSeeds, cc.Seed*1_000_003+int64(k)+1)
+	}
+	if inject != "" {
+		specs, err := faultinject.ParseList(inject)
+		if err != nil {
+			return cc, err
+		}
+		cc.Run.Instrument = func(m *core.Machine) { faultinject.New(specs...).Attach(m) }
+	}
+	// Outside a repo checkout (no go.mod to anchor on) the pool is just
+	// empty and every sequence comes from the DSL templates.
+	if dir, derr := corpus.SeedDir(); derr == nil {
+		cases, err := corpus.Load(dir)
+		if err != nil {
+			return cc, err
+		}
+		for _, cs := range cases {
+			if code, cerr := cs.Code(); cerr == nil && len(code) > 0 {
+				cc.SeedPool = append(cc.SeedPool, code)
+			}
+		}
+	}
+	return cc, nil
 }
 
 // CampaignFinding is one fully processed finding: the minimized

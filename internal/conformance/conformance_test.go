@@ -5,15 +5,19 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"ptlsim/internal/conformance/corpus"
 	"ptlsim/internal/core"
+	"ptlsim/internal/cosim"
 	"ptlsim/internal/faultinject"
 	"ptlsim/internal/simerr"
 	"ptlsim/internal/supervisor"
+	"ptlsim/internal/uops"
+	"ptlsim/internal/vm"
 )
 
 // seedPool loads the shared seed corpus as raw byte programs for the
@@ -59,7 +63,7 @@ func emptyCaseInsns(t *testing.T) int64 {
 	if o.class != classExit {
 		t.Fatalf("empty case did not exit cleanly: %s", o.class)
 	}
-	return o.insns
+	return o.Insns
 }
 
 // TestGeneratorDeterminism: the same seed must regenerate the same
@@ -388,5 +392,62 @@ func TestInterlockOrderRegression(t *testing.T) {
 	}
 	if f != nil {
 		t.Fatalf("same-line locked RMW pair diverges again: %s: %s", f.Kind, f.Diag)
+	}
+}
+
+// TestCompareSharedDimensions runs the cases the cosim comparison table
+// pins (cosim.TestCompareEngines) through this package's caller: the
+// exit and boundary arms of compare must report each of them as a
+// mismatch finding, and agree on the equal ones.
+func TestCompareSharedDimensions(t *testing.T) {
+	ctx := &vm.Context{RIP: 0x401000}
+	ctx.Regs[uops.RegRBX] = 0x2a
+	flipped := ctx.Clone()
+	flipped.Regs[uops.RegRBX] = 0x2b
+	mk := func(class string, insns int64, console string, c *vm.Context) outcome {
+		return outcome{class: class, EngineState: cosim.EngineState{Insns: insns, Console: console, Ctx: c}}
+	}
+	cases := []struct {
+		name     string
+		nat, sim outcome
+		diag     string // "" = the engines agree
+	}{
+		{"equal exit", mk(classExit, 100, "ok\n", nil), mk(classExit, 100, "ok\n", nil), ""},
+		{"equal boundary", mk(classBoundary, 100, "ok\n", ctx), mk(classBoundary, 100, "ok\n", ctx.Clone()), ""},
+		{"stop count", mk(classExit, 100, "ok\n", nil), mk(classExit, 97, "ok\n", nil), "instruction counts: ref 100, sim 97"},
+		{"console after shutdown", mk(classExit, 100, "sum 1\n", nil), mk(classExit, 100, "sum 2\n", nil), "console"},
+		{"registers", mk(classBoundary, 100, "ok\n", ctx), mk(classBoundary, 100, "ok\n", flipped), "0x2a vs 0x2b"},
+	}
+	for _, tc := range cases {
+		f := compare(tc.nat, tc.sim, 0)
+		switch {
+		case tc.diag == "" && f != nil:
+			t.Errorf("%s: unexpected finding %v", tc.name, f)
+		case tc.diag != "" && (f == nil || f.Kind != KindMismatch || !strings.Contains(f.Diag, tc.diag)):
+			t.Errorf("%s: finding %v, want a mismatch mentioning %q", tc.name, f, tc.diag)
+		}
+	}
+}
+
+// TestNewCampaignDerivation pins what every front end gets from one
+// (seed, timing-seed count, inject spec): the seed formula decides
+// which predictor scrambles a campaign replays under, so it must not
+// drift between ptlsim -fuzz and a jobd fuzz job again.
+func TestNewCampaignDerivation(t *testing.T) {
+	cc, err := NewCampaign(CampaignConfig{Seed: 7, Seqs: 3}, 2, "regflip@10:reg=r12,bit=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cc.Run.TimingSeeds, []int64{7*1_000_003 + 1, 7*1_000_003 + 2}; !slices.Equal(got, want) {
+		t.Errorf("timing seeds %v, want %v", got, want)
+	}
+	if len(cc.SeedPool) != len(seedPool(t)) {
+		t.Errorf("seed pool has %d programs, the shared corpus %d", len(cc.SeedPool), len(seedPool(t)))
+	}
+	if cc.Run.Instrument == nil || cc.Seed != 7 || cc.Seqs != 3 {
+		t.Errorf("inject spec not attached or caller fields disturbed: %+v", cc)
+	}
+	if _, err := NewCampaign(CampaignConfig{}, 0, "no-such-fault@1"); err == nil {
+		t.Error("a malformed inject spec was accepted")
 	}
 }

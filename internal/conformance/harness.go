@@ -18,7 +18,6 @@ import (
 	"ptlsim/internal/selfcheck"
 	"ptlsim/internal/simerr"
 	"ptlsim/internal/stats"
-	"ptlsim/internal/vm"
 	"ptlsim/internal/x86"
 )
 
@@ -144,12 +143,11 @@ func DomainBuilder(code []byte) cosim.DomainBuilder {
 }
 
 // outcome is everything observable about one engine's run of a case.
+// Ctx (the final VCPU state) is set for boundary stops only.
 type outcome struct {
-	class   string // "exit", "boundary", or a simerr kind
-	insns   int64
-	console string
-	ctx     *vm.Context // final VCPU state, set for boundary stops
-	simErr  *simerr.SimError
+	class string // "exit", "boundary", or a simerr kind
+	cosim.EngineState
+	simErr *simerr.SimError
 }
 
 const (
@@ -184,13 +182,13 @@ func (c Config) runEngine(code []byte, mode core.Mode, timingSeed int64) (outcom
 		c.Instrument(m)
 	}
 	rerr := m.RunUntilInsns(c.MaxInsns, budget)
-	o := outcome{insns: m.Insns(), console: m.Dom.Console()}
+	o := outcome{EngineState: cosim.EngineState{Insns: m.Insns(), Console: m.Dom.Console()}}
 	switch {
 	case rerr == nil && m.Dom.ShutdownReq:
 		o.class = classExit
 	case rerr == nil:
 		o.class = classBoundary
-		o.ctx = m.Dom.VCPUs[0]
+		o.Ctx = m.Dom.VCPUs[0]
 	default:
 		se, ok := simerr.As(rerr)
 		if !ok {
@@ -213,7 +211,7 @@ func selfCheckFinding(k simerr.Kind) bool {
 func compare(nat, sim outcome, timingSeed int64) *Finding {
 	mk := func(kind, diag string) *Finding {
 		f := &Finding{Kind: kind, Diag: diag, TimingSeed: timingSeed,
-			NativeInsns: nat.insns, DivergedAt: -1}
+			NativeInsns: nat.Insns, DivergedAt: -1}
 		if sim.simErr != nil {
 			f.Commit = sim.simErr.Commit
 		}
@@ -225,30 +223,12 @@ func compare(nat, sim outcome, timingSeed int64) *Finding {
 	if nat.class != sim.class {
 		return mk(KindMismatch, fmt.Sprintf(
 			"outcome class differs: native %s at %d insns, sim %s at %d insns",
-			nat.class, nat.insns, sim.class, sim.insns))
+			nat.class, nat.Insns, sim.class, sim.Insns))
 	}
 	switch nat.class {
-	case classExit, string(simerr.KindDeadlock):
-		if nat.insns != sim.insns {
-			return mk(KindMismatch, fmt.Sprintf(
-				"%s at different instruction counts: native %d, sim %d",
-				nat.class, nat.insns, sim.insns))
-		}
-		if nat.console != sim.console {
-			return mk(KindMismatch, fmt.Sprintf(
-				"console output differs: native %d bytes, sim %d bytes",
-				len(nat.console), len(sim.console)))
-		}
-	case classBoundary:
-		if nat.console != sim.console {
-			return mk(KindMismatch, fmt.Sprintf(
-				"console output differs at insn boundary %d: native %d bytes, sim %d bytes",
-				nat.insns, len(nat.console), len(sim.console)))
-		}
-		if nat.ctx != nil && sim.ctx != nil && !vm.ArchEqual(nat.ctx, sim.ctx) {
-			return mk(KindMismatch, fmt.Sprintf(
-				"architectural state differs at insn boundary %d: %s",
-				nat.insns, vm.DiffArch(nat.ctx, sim.ctx)))
+	case classExit, classBoundary, string(simerr.KindDeadlock):
+		if eq, diag := cosim.CompareEngines(nat.EngineState, sim.EngineState); !eq {
+			return mk(KindMismatch, nat.class+": "+diag)
 		}
 	default:
 		// Same structured failure in both engines (e.g. both hit the

@@ -77,7 +77,7 @@ func (c Config) Localize(units [][]byte, seed int64, timingSeed int64) (int64, s
 	if err != nil {
 		return -1, "", err
 	}
-	maxN := nat.insns + 50
+	maxN := nat.Insns + 50
 	interval := maxN/8 + 1
 	simCfg := cfg.Sim
 	// The search replays and compares engines itself; the oracle would

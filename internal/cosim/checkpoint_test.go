@@ -89,10 +89,10 @@ func TestCheckpointedDivergenceAtOrigin(t *testing.T) {
 // mid-loop changes the console bytes but leaves the final
 // architectural state bit-identical — divergence a register compare
 // alone cannot see.
-func scrubbedConsoleGuest(t *testing.T) DomainBuilder {
+func scrubbedConsoleGuest(t *testing.T, marker int64) DomainBuilder {
 	t.Helper()
 	a := x86.NewAssembler(kern.UserTextVA)
-	a.Mov(x86.R(x86.RBX), x86.I(0x5AA5C33C))
+	a.Mov(x86.R(x86.RBX), x86.I(marker))
 	a.Mov(x86.MAbs(int32(kern.UserDataVA)), x86.R(x86.RBX))
 	a.Mov(x86.R(x86.RCX), x86.I(120))
 	loop := a.Mark()
@@ -134,7 +134,7 @@ func scrubbedConsoleGuest(t *testing.T) DomainBuilder {
 // compare where the engines stopped and what they printed; without
 // that, the scan reports a clean run.
 func TestCheckpointedDivergenceFinalPartialWindow(t *testing.T) {
-	build := scrubbedConsoleGuest(t)
+	build := scrubbedConsoleGuest(t, 0x5AA5C33C)
 
 	// Measure the guest's natural length G, then search to G+100 with
 	// a single full-run window so the divergence, the shutdown, and

@@ -13,6 +13,7 @@ import (
 
 	"ptlsim/internal/core"
 	"ptlsim/internal/hv"
+	"ptlsim/internal/simerr"
 	"ptlsim/internal/snapshot"
 	"ptlsim/internal/stats"
 	"ptlsim/internal/vm"
@@ -27,23 +28,37 @@ type SampleConfig struct {
 
 // RunSampled drives the machine to completion, alternating between the
 // cycle accurate core and native mode at instruction boundaries.
+// maxCycles bounds the whole run in absolute cycles (0 = unlimited).
 func RunSampled(m *core.Machine, cfg SampleConfig, maxCycles uint64) error {
 	if cfg.SimInsns <= 0 || cfg.NativeInsns <= 0 {
 		return fmt.Errorf("cosim: sample periods must be positive")
 	}
-	for !m.Dom.ShutdownReq {
-		if maxCycles > 0 && m.Cycle >= maxCycles {
-			return fmt.Errorf("cosim: cycle budget exhausted during sampling")
+	// period runs one sampling period under what is left of the budget:
+	// RunUntilInsns takes a budget relative to where it starts.
+	period := func(mode core.Mode, insns int64) error {
+		var left uint64
+		if maxCycles > 0 {
+			if m.Cycle >= maxCycles {
+				vctx := m.Dom.VCPUs[0]
+				return &simerr.SimError{
+					Kind: simerr.KindCycleBudget, Cycle: m.Cycle,
+					VCPU: vctx.ID, RIP: vctx.RIP,
+					Message: fmt.Sprintf("cycle budget %d exhausted during sampling", maxCycles),
+				}
+			}
+			left = maxCycles - m.Cycle
 		}
-		m.SwitchMode(core.ModeSim)
-		if err := m.RunUntilInsns(m.Insns()+cfg.SimInsns, maxCycles); err != nil {
+		m.SwitchMode(mode)
+		return m.RunUntilInsns(m.Insns()+insns, left)
+	}
+	for !m.Dom.ShutdownReq {
+		if err := period(core.ModeSim, cfg.SimInsns); err != nil {
 			return err
 		}
 		if m.Dom.ShutdownReq {
 			break
 		}
-		m.SwitchMode(core.ModeNative)
-		if err := m.RunUntilInsns(m.Insns()+cfg.NativeInsns, maxCycles); err != nil {
+		if err := period(core.ModeNative, cfg.NativeInsns); err != nil {
 			return err
 		}
 	}
@@ -61,22 +76,59 @@ type DomainBuilder func() (*hv.Domain, error)
 // engines agree there; diag carries a human-readable difference.
 type Probe func(n int64) (equal bool, diag string, err error)
 
+// EngineState is what one engine exposes at a stop point, on every
+// dimension a divergence is observable in. Ctx is nil when the caller
+// has no architectural state worth comparing (the guest exited).
+type EngineState struct {
+	Insns   int64
+	Console string
+	Ctx     *vm.Context
+}
+
+// Observe records m's current state; the copy stays valid if m keeps
+// running.
+func Observe(m *core.Machine) EngineState {
+	return EngineState{Insns: m.Insns(), Console: m.Dom.Console(), Ctx: m.Dom.VCPUs[0].Clone()}
+}
+
+// CompareEngines is the one definition of "two engines agree": same
+// stop instruction count, console bytes and architectural state; diag
+// describes the first difference. When the guest shuts down inside a
+// window, both engines coast to post-shutdown idle contexts that can
+// compare architecturally equal even though their trajectories
+// differed — the stop count and console are what still tell them apart.
+func CompareEngines(ref, sim EngineState) (equal bool, diag string) {
+	if ref.Insns != sim.Insns {
+		return false, fmt.Sprintf("engines stopped at different instruction counts: ref %d, sim %d",
+			ref.Insns, sim.Insns)
+	}
+	if ref.Console != sim.Console {
+		return false, fmt.Sprintf("console output differs at instruction %d (ref %d bytes, sim %d bytes)",
+			ref.Insns, len(ref.Console), len(sim.Console))
+	}
+	if ref.Ctx != nil && sim.Ctx != nil && !vm.ArchEqual(ref.Ctx, sim.Ctx) {
+		return false, fmt.Sprintf("architectural state differs at instruction %d: %s",
+			ref.Insns, vm.DiffArch(ref.Ctx, sim.Ctx))
+	}
+	return true, ""
+}
+
 // MakeArchProbe builds a Probe comparing the functional engine against
 // the cycle accurate core configured by simCfg. The guest must be free
 // of timing-dependent event delivery (no timers), or instruction
 // trajectories legitimately differ.
 func MakeArchProbe(build DomainBuilder, simCfg core.Config) Probe {
-	runTo := func(mode core.Mode, n int64) (*vm.Context, error) {
+	runTo := func(mode core.Mode, n int64) (EngineState, error) {
 		dom, err := build()
 		if err != nil {
-			return nil, err
+			return EngineState{}, err
 		}
 		m := core.NewMachine(dom, stats.NewTree(), simCfg)
 		m.SwitchMode(mode)
 		if err := m.RunUntilInsns(n, 0); err != nil {
-			return nil, err
+			return EngineState{}, err
 		}
-		return dom.VCPUs[0], nil
+		return Observe(m), nil
 	}
 	return func(n int64) (bool, string, error) {
 		ref, err := runTo(core.ModeNative, n)
@@ -87,10 +139,8 @@ func MakeArchProbe(build DomainBuilder, simCfg core.Config) Probe {
 		if err != nil {
 			return false, "", fmt.Errorf("cosim: sim run: %w", err)
 		}
-		if vm.ArchEqual(ref, sim) {
-			return true, "", nil
-		}
-		return false, vm.DiffArch(ref, sim), nil
+		eq, diag := CompareEngines(ref, sim)
+		return eq, diag, nil
 	}
 }
 
@@ -176,17 +226,9 @@ func firstDivergenceFrom(ref *core.Machine, simCfg core.Config, max, interval in
 
 	// Reference run: one native pass, checkpointing at every boundary.
 	// Images go through encoded bytes so probes exercise the same
-	// restore path an on-disk checkpoint would. Besides the
-	// architectural context, record the committed-instruction count and
-	// console output at each boundary: when the guest shuts down inside
-	// a window, both engines coast to post-shutdown idle contexts that
-	// can compare architecturally equal even though their trajectories
-	// differed — the stop count and console are what still tell them
-	// apart.
+	// restore path an on-disk checkpoint would.
 	images := make([][]byte, len(bounds))
-	refCtx := make([]*vm.Context, len(bounds))
-	refInsns := make([]int64, len(bounds))
-	refCons := make([]string, len(bounds))
+	refState := make([]EngineState, len(bounds))
 	for k, n := range bounds {
 		if err := ref.RunUntilInsns(n, 0); err != nil {
 			return 0, "", st, fmt.Errorf("cosim: reference run: %w", err)
@@ -196,9 +238,7 @@ func firstDivergenceFrom(ref *core.Machine, simCfg core.Config, max, interval in
 			return 0, "", st, err
 		}
 		images[k] = img
-		refCtx[k] = ref.Dom.VCPUs[0].Clone()
-		refInsns[k] = ref.Insns()
-		refCons[k] = ref.Dom.Console()
+		refState[k] = Observe(ref)
 	}
 
 	restoreFrom := func(k int, mode core.Mode) (*core.Machine, error) {
@@ -217,27 +257,6 @@ func firstDivergenceFrom(ref *core.Machine, simCfg core.Config, max, interval in
 		return m, nil
 	}
 
-	// compare checks the simulated engine against the reference record
-	// at boundary k on every dimension divergence is observable in:
-	// where the engine stopped, what it printed, and the architectural
-	// state.
-	compare := func(k int, m *core.Machine) (bool, string) {
-		if got, want := m.Insns(), refInsns[k]; got != want {
-			return false, fmt.Sprintf(
-				"engines stopped at different instruction counts at boundary %d: ref %d, sim %d",
-				bounds[k], want, got)
-		}
-		if got, want := m.Dom.Console(), refCons[k]; got != want {
-			return false, fmt.Sprintf(
-				"console output differs at boundary %d (ref %d bytes, sim %d bytes)",
-				bounds[k], len(want), len(got))
-		}
-		if !vm.ArchEqual(refCtx[k], m.Dom.VCPUs[0]) {
-			return false, vm.DiffArch(refCtx[k], m.Dom.VCPUs[0])
-		}
-		return true, ""
-	}
-
 	// Lockstep scan: run the simulated engine boundary to boundary,
 	// comparing against the reference at each. The check at boundary 0
 	// catches divergence already present at the search origin —
@@ -249,7 +268,7 @@ func firstDivergenceFrom(ref *core.Machine, simCfg core.Config, max, interval in
 	if err != nil {
 		return 0, "", st, err
 	}
-	if eq, diag := compare(0, simM); !eq {
+	if eq, diag := CompareEngines(refState[0], Observe(simM)); !eq {
 		return bounds[0], diag, st, nil
 	}
 	badK := -1
@@ -259,7 +278,7 @@ func firstDivergenceFrom(ref *core.Machine, simCfg core.Config, max, interval in
 			return 0, "", st, fmt.Errorf("cosim: scan run: %w", err)
 		}
 		st.ScanInsns += bounds[k] - bounds[k-1]
-		if eq, d := compare(k, simM); !eq {
+		if eq, d := CompareEngines(refState[k], Observe(simM)); !eq {
 			badK = k
 			diag = d
 			break
@@ -290,23 +309,8 @@ func firstDivergenceFrom(ref *core.Machine, simCfg core.Config, max, interval in
 		if err := simP.RunUntilInsns(n, 0); err != nil {
 			return false, "", fmt.Errorf("cosim: sim probe: %w", err)
 		}
-		// Same three dimensions as the scan: a probe past a guest
-		// shutdown stops both engines early, where the stop count and
-		// console still distinguish diverged trajectories.
-		if got, want := simP.Insns(), refP.Insns(); got != want {
-			return false, fmt.Sprintf(
-				"engines stopped at different instruction counts probing %d: ref %d, sim %d",
-				n, want, got), nil
-		}
-		if got, want := simP.Dom.Console(), refP.Dom.Console(); got != want {
-			return false, fmt.Sprintf(
-				"console output differs probing %d (ref %d bytes, sim %d bytes)",
-				n, len(want), len(got)), nil
-		}
-		if vm.ArchEqual(refP.Dom.VCPUs[0], simP.Dom.VCPUs[0]) {
-			return true, "", nil
-		}
-		return false, vm.DiffArch(refP.Dom.VCPUs[0], simP.Dom.VCPUs[0]), nil
+		eq, d := CompareEngines(Observe(refP), Observe(simP))
+		return eq, d, nil
 	}
 	lo, hi := base+1, bounds[badK] // invariant: diverged at hi (scan proved it)
 	hiDiag := diag

@@ -92,29 +92,67 @@ type Table1Result struct {
 	UserPct, KernelPct, IdlePct float64
 }
 
-// runNative executes the benchmark on the functional engine with the
-// K8 hardware-counter model attached.
-func runNative(cfg Config) (*k8.Model, *stats.Tree, string, error) {
-	tree := stats.NewTree()
+// Scale resolves a workload scale name (small | bench | paper; anything
+// else is bench) — the one table every front end (ptlsim -scale, a jobd
+// Spec, the benchmarks) reads.
+func Scale(name string) Config {
+	switch name {
+	case "small":
+		cfg := BenchScale()
+		cfg.Corpus = guest.CorpusSpec{NFiles: 2, FileSize: 2048, Seed: 7, ChangeFraction: 0.3}
+		return cfg
+	case "paper":
+		return PaperScale()
+	default:
+		return BenchScale()
+	}
+}
+
+// CoreConfig resolves a core model name (default | k8; anything else is
+// k8).
+func CoreConfig(name string) ooo.Config {
+	if name == "default" {
+		return ooo.DefaultConfig()
+	}
+	return ooo.K8Config()
+}
+
+// Boot is the one way to bring up the rsync benchmark guest: build the
+// guest image for cfg, wire it to a machine configured by mcfg, and
+// select the starting engine. The machine's Tree is the tree the guest
+// kernel and hypervisor count into.
+func Boot(cfg Config, mcfg core.Config, mode core.Mode) (*core.Machine, error) {
 	spec, err := guest.RsyncBenchmark(cfg.Corpus, cfg.TimerPeriod)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, err
 	}
+	tree := stats.NewTree()
 	spec.Tree = tree
 	img, err := kern.Build(spec)
 	if err != nil {
+		return nil, err
+	}
+	m := core.NewMachine(img.Domain, tree, mcfg)
+	m.SwitchMode(mode)
+	return m, nil
+}
+
+// runNative executes the benchmark on the functional engine with the
+// K8 hardware-counter model attached.
+func runNative(cfg Config) (*k8.Model, *stats.Tree, string, error) {
+	m, err := Boot(cfg, core.DefaultConfig(), core.ModeNative)
+	if err != nil {
 		return nil, nil, "", err
 	}
-	m := core.NewMachine(img.Domain, tree, core.DefaultConfig())
-	model := k8.New(tree, "k8native")
+	model := k8.New(m.Tree, "k8native")
 	model.FlushCaches() // the paper's -perfctr cold start
 	m.SeqCores()[0].Obs = model
 	if err := m.Run(cfg.MaxCycles); err != nil {
 		return nil, nil, "", fmt.Errorf("native trial: %w", err)
 	}
 	// The silicon cycle counter also runs while halted.
-	model.AddIdleCycles(uint64(tree.Lookup("external.cycles_in_mode.idle").Value()))
-	return model, tree, img.Domain.Console(), nil
+	model.AddIdleCycles(uint64(m.Tree.Lookup("external.cycles_in_mode.idle").Value()))
+	return model, m.Tree, m.Dom.Console(), nil
 }
 
 // runSim executes the benchmark on the cycle accurate K8-configured
@@ -133,26 +171,18 @@ func runSim(cfg Config) (*core.Machine, string, time.Duration, error) {
 // arbitrary machine configuration (the ablation benchmarks vary core
 // parameters through this).
 func RunSimWith(cfg Config, mcfg core.Config) (*core.Machine, string, time.Duration, error) {
-	tree := stats.NewTree()
-	spec, err := guest.RsyncBenchmark(cfg.Corpus, cfg.TimerPeriod)
-	if err != nil {
-		return nil, "", 0, err
-	}
-	spec.Tree = tree
-	img, err := kern.Build(spec)
-	if err != nil {
-		return nil, "", 0, err
-	}
 	if mcfg.SnapshotCycles == 0 {
 		mcfg.SnapshotCycles = cfg.SnapshotCycles
 	}
-	m := core.NewMachine(img.Domain, tree, mcfg)
-	m.SwitchMode(core.ModeSim)
+	m, err := Boot(cfg, mcfg, core.ModeSim)
+	if err != nil {
+		return nil, "", 0, err
+	}
 	start := time.Now()
 	if err := m.Run(cfg.MaxCycles); err != nil {
 		return nil, "", 0, fmt.Errorf("sim trial: %w", err)
 	}
-	return m, img.Domain.Console(), time.Since(start), nil
+	return m, m.Dom.Console(), time.Since(start), nil
 }
 
 // RunTable1 performs both trials and assembles the Table 1 rows.

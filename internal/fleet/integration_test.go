@@ -170,7 +170,12 @@ func TestIntegrationPartitionSteal(t *testing.T) {
 			{Name: "n2", URL: s2.URL},
 			{Name: "n3", URL: "http://" + proxy.Addr()},
 		},
-		LeaseTTL:     1500 * time.Millisecond,
+		// Longer than DownAfter health+poll rounds at the Poll timeout
+		// (≈2.2 s when the cable is pulled between a tick's health check
+		// and its polls): n3 must be marked down before its leases
+		// expire, or the stolen cell is re-leased to n3 itself and the
+		// blocked submit outlasts the partition.
+		LeaseTTL:     3 * time.Second,
 		PollInterval: 100 * time.Millisecond,
 		DownAfter:    2,
 		Inflight:     2,
@@ -207,7 +212,7 @@ func TestIntegrationPartitionSteal(t *testing.T) {
 	// cable for two lease TTLs.
 	time.Sleep(400 * time.Millisecond)
 	proxy.SetFaults(chaosnet.Faults{Partition: true})
-	time.Sleep(3 * time.Second)
+	time.Sleep(6 * time.Second)
 	proxy.SetFaults(chaosnet.Faults{})
 
 	var res runResult

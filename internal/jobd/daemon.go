@@ -920,8 +920,6 @@ func (d *Daemon) superviseWorker(j *job, jobDir string, attempt int) error {
 	pidStart, _ := procStartTime(pid)
 	j.mu.Lock()
 	j.st.PID = pid
-	j.mu.Unlock()
-	j.mu.Lock()
 	queueWait := j.st.QueueWaitMs
 	j.mu.Unlock()
 	d.journal.Append(supervisor.Entry{Event: supervisor.EventJobStart, Job: j.st.ID,
@@ -932,29 +930,50 @@ func (d *Daemon) superviseWorker(j *job, jobDir string, attempt int) error {
 
 	waitDone := make(chan error, 1)
 	go func() { waitDone <- cmd.Wait() }()
+	waitErr, reason := d.monitorWorker(j, jobDir, workerProc{pid: pid, start: start, wait: waitDone})
+	return d.classifyExit(j, jobDir, waitErr, reason)
+}
 
-	var reason *killReason
+// workerProc is the monitor's handle on one live worker. A spawned
+// child reports its death on wait (cmd.Wait's result). An adopted
+// orphan is not our child, so waitpid is unavailable: wait is nil and
+// death is the (pid, pidStart) pair no longer matching /proc. The
+// zombie is init's problem — orphans are reparented.
+type workerProc struct {
+	pid      int
+	pidStart uint64
+	start    time.Time // attempt start: the deadline and heartbeat base
+	wait     <-chan error
+}
+
+// monitorWorker babysits a live worker until it is gone, watching for
+// its death, the job's cancel channel, and every PollInterval the
+// deadline, heartbeat and RSS budgets. It SIGKILLs at most once and
+// returns why; waitErr is always nil for an adopted orphan.
+func (d *Daemon) monitorWorker(j *job, jobDir string, p workerProc) (waitErr error, reason *killReason) {
 	kill := func(r killReason) {
 		if reason != nil {
 			return
 		}
 		reason = &r
-		syscall.Kill(pid, syscall.SIGKILL)
+		syscall.Kill(p.pid, syscall.SIGKILL)
 	}
 	ticker := time.NewTicker(d.cfg.PollInterval)
 	defer ticker.Stop()
-	var waitErr error
 	cancel := j.cancel
 monitor:
 	for {
 		select {
-		case waitErr = <-waitDone:
+		case waitErr = <-p.wait:
 			break monitor
 		case <-cancel:
 			kill(killReason{kind: "interrupted", message: "daemon stopping"})
 			cancel = nil // fired once; a nil channel never selects again
 		case <-ticker.C:
-			if r := d.checkWorkerBudgets(j, jobDir, pid, start); r != nil {
+			if p.wait == nil && !sameProcess(p.pid, p.pidStart) {
+				break monitor
+			}
+			if r := d.checkWorkerBudgets(j, jobDir, p.pid, p.start); r != nil {
 				kill(*r)
 			}
 		}
@@ -962,13 +981,12 @@ monitor:
 	j.mu.Lock()
 	j.st.PID = 0
 	j.mu.Unlock()
-
-	return d.classifyExit(j, jobDir, waitErr, reason)
+	return waitErr, reason
 }
 
 // checkWorkerBudgets evaluates one monitor tick's deadline, heartbeat
 // and RSS budgets for a live worker, returning a kill reason when one
-// is exceeded. Shared by the spawn and adoption monitors.
+// is exceeded.
 func (d *Daemon) checkWorkerBudgets(j *job, jobDir string, pid int, start time.Time) *killReason {
 	now := time.Now()
 	if j.deadline > 0 && now.Sub(start) > j.deadline {
@@ -1026,38 +1044,7 @@ func (d *Daemon) superviseOrphan(j *job, jobDir string, o orphan) error {
 		if start.IsZero() {
 			start = time.Now()
 		}
-		var reason *killReason
-		kill := func(r killReason) {
-			if reason != nil {
-				return
-			}
-			reason = &r
-			syscall.Kill(o.pid, syscall.SIGKILL)
-		}
-		ticker := time.NewTicker(d.cfg.PollInterval)
-		defer ticker.Stop()
-		cancel := j.cancel
-	monitor:
-		for {
-			select {
-			case <-cancel:
-				kill(killReason{kind: "interrupted", message: "daemon stopping"})
-				cancel = nil
-			case <-ticker.C:
-				// Not our child: waitpid is unavailable, so death is the
-				// (pid, start time) pair no longer matching. The zombie
-				// is init's problem — orphans are reparented.
-				if !sameProcess(o.pid, o.pidStart) {
-					break monitor
-				}
-				if r := d.checkWorkerBudgets(j, jobDir, o.pid, start); r != nil {
-					kill(*r)
-				}
-			}
-		}
-		j.mu.Lock()
-		j.st.PID = 0
-		j.mu.Unlock()
+		_, reason := d.monitorWorker(j, jobDir, workerProc{pid: o.pid, pidStart: o.pidStart, start: start})
 		if reason != nil {
 			return d.classifyExit(j, jobDir, errors.New("killed by monitor"), reason)
 		}

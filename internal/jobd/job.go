@@ -25,7 +25,6 @@ import (
 	"ptlsim/internal/experiments"
 	"ptlsim/internal/faultinject"
 	"ptlsim/internal/guest"
-	"ptlsim/internal/ooo"
 )
 
 // Spec is a simulation job request (the POST /jobs body). Zero-valued
@@ -175,19 +174,10 @@ func (s *Spec) ConfigKey() uint64 {
 	return h.Sum64()
 }
 
-// experimentConfig resolves the workload scale plus overrides into the
-// experiments.Config the worker boots from (mirrors cmd/ptlsim).
+// experimentConfig applies the spec's overrides to its workload scale,
+// yielding the experiments.Config the worker boots from.
 func (s *Spec) experimentConfig() experiments.Config {
-	var cfg experiments.Config
-	switch s.Scale {
-	case "small":
-		cfg = experiments.BenchScale()
-		cfg.Corpus = guest.CorpusSpec{NFiles: 2, FileSize: 2048, Seed: 7, ChangeFraction: 0.3}
-	case "paper":
-		cfg = experiments.PaperScale()
-	default:
-		cfg = experiments.BenchScale()
-	}
+	cfg := experiments.Scale(s.Scale)
 	if s.NFiles > 0 {
 		cfg.Corpus.NFiles = s.NFiles
 	}
@@ -217,11 +207,7 @@ func (s *Spec) experimentConfig() experiments.Config {
 // the previous attempt's checkpoints, and snapshot.Restore rejects an
 // image captured under a different config hash.
 func (s *Spec) machineConfig(snapshotCycles uint64) core.Config {
-	oc := ooo.K8Config()
-	if s.Core == "default" {
-		oc = ooo.DefaultConfig()
-	}
-	return core.Config{Core: oc, NativeCPI: 1, ThreadsPerCore: 1,
+	return core.Config{Core: experiments.CoreConfig(s.Core), NativeCPI: 1, ThreadsPerCore: 1,
 		SnapshotCycles: snapshotCycles, WatchdogCycles: 10_000_000}
 }
 

@@ -367,13 +367,13 @@ func (s *JobStore) compact() error {
 	if err != nil {
 		return err
 	}
-	if err := atomicWrite(filepath.Join(s.dir, storeSnapFile), data); err != nil {
+	if err := atomicWrite(filepath.Join(s.dir, storeSnapFile), data, true); err != nil {
 		return err
 	}
 	// Replace the log *after* the snapshot is durable. A crash between
 	// the two renames leaves the old log in place; replay skips its
 	// records via LastSeq.
-	if err := atomicWrite(filepath.Join(s.dir, storeLogFile), nil); err != nil {
+	if err := atomicWrite(filepath.Join(s.dir, storeLogFile), nil, true); err != nil {
 		return err
 	}
 	old := s.f
@@ -389,11 +389,13 @@ func (s *JobStore) compact() error {
 	return nil
 }
 
-// atomicWrite lands data at path via temp + fsync + rename — the same
+// atomicWrite lands data at path via temp + rename — the same
 // discipline as snapshot checkpoint writes, so a crash mid-write can
-// never present a torn file.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".store-*")
+// never present a torn file. durable adds the fsync before the rename:
+// the store must survive the host going down, while what a worker
+// writes (verdicts, heartbeats) only has to survive the worker dying.
+func atomicWrite(path string, data []byte, durable bool) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".jobd-*")
 	if err != nil {
 		return err
 	}
@@ -402,9 +404,11 @@ func atomicWrite(path string, data []byte) error {
 		tmp.Close()
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if durable {
+		if err := tmp.Sync(); err != nil {
+			tmp.Close()
+			return err
+		}
 	}
 	if err := tmp.Close(); err != nil {
 		return err

@@ -13,14 +13,11 @@ import (
 	"time"
 
 	"ptlsim/internal/conformance"
-	"ptlsim/internal/conformance/corpus"
 	"ptlsim/internal/core"
+	"ptlsim/internal/experiments"
 	"ptlsim/internal/faultinject"
-	"ptlsim/internal/guest"
-	"ptlsim/internal/kern"
 	"ptlsim/internal/simerr"
 	"ptlsim/internal/snapshot"
-	"ptlsim/internal/stats"
 	"ptlsim/internal/supervisor"
 )
 
@@ -169,15 +166,12 @@ func runJob(ctx context.Context, spec *Spec, ckptDir string, journal io.Writer) 
 		interval = 10_000_000
 	}
 
-	// The store is opened before the supervisor so a respawned worker
-	// can look for slots the killed attempt left behind.
-	store, err := supervisor.OpenStore(ckptDir, max(spec.MaxRetries, 3))
-	if err != nil {
-		return nil, err
-	}
+	// supervisor.New opens the rotation; a view of the directory is
+	// enough to look for slots a killed attempt left behind.
+	rotation := supervisor.Store{Dir: ckptDir}
 	var m *core.Machine
-	if len(store.Slots()) > 0 {
-		img, slot, err := store.LoadLatest(nil)
+	if len(rotation.Slots()) > 0 {
+		img, slot, err := rotation.LoadLatest(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -185,19 +179,13 @@ func runJob(ctx context.Context, spec *Spec, ckptDir string, journal io.Writer) 
 			return nil, fmt.Errorf("jobd: resuming %s: %w", slot, err)
 		}
 	} else {
-		spec2, err := guest.RsyncBenchmark(cfg.Corpus, cfg.TimerPeriod)
-		if err != nil {
-			return nil, err
+		mode := core.ModeSim
+		if spec.Mode == "native" {
+			mode = core.ModeNative
 		}
-		tree := stats.NewTree()
-		spec2.Tree = tree
-		img, err := kern.Build(spec2)
-		if err != nil {
+		var err error
+		if m, err = experiments.Boot(cfg, mcfg, mode); err != nil {
 			return nil, err
-		}
-		m = core.NewMachine(img.Domain, tree, mcfg)
-		if spec.Mode != "native" {
-			m.SwitchMode(core.ModeSim)
 		}
 	}
 	if spec.Inject != "" {
@@ -209,17 +197,12 @@ func runJob(ctx context.Context, spec *Spec, ckptDir string, journal io.Writer) 
 	}
 
 	sup, err := supervisor.New(m, supervisor.Config{
-		Interval:  interval,
-		MaxCycles: cfg.MaxCycles,
-		Dir:       ckptDir,
-		Keep:      max(spec.MaxRetries, 3),
-		MaxRetries: func() int {
-			if spec.MaxRetries > 0 {
-				return spec.MaxRetries
-			}
-			return 5
-		}(),
-		Journal: journal,
+		Interval:   interval,
+		MaxCycles:  cfg.MaxCycles,
+		Dir:        ckptDir,
+		Keep:       max(spec.MaxRetries, 3),
+		MaxRetries: spec.MaxRetries, // 0 = the supervisor's default
+		Journal:    journal,
 	})
 	if err != nil {
 		return nil, err
@@ -245,32 +228,16 @@ func runJob(ctx context.Context, spec *Spec, ckptDir string, journal io.Writer) 
 // in the shared supervisor entry format.
 func runFuzzJob(ctx context.Context, spec *Spec, dir string, journal io.Writer) (*Result, error) {
 	fs := spec.Fuzz
-	run := conformance.Config{MaxInsns: fs.MaxInsns}
-	for k := 0; k < fs.TimingSeeds; k++ {
-		run.TimingSeeds = append(run.TimingSeeds, fs.Seed*1_000_003+int64(k)+1)
-	}
-	if spec.Inject != "" {
-		specs, err := faultinject.ParseList(spec.Inject)
-		if err != nil {
-			return nil, err
-		}
-		run.Instrument = func(m *core.Machine) { faultinject.New(specs...).Attach(m) }
-	}
-	var pool [][]byte
-	if seedDir, err := corpus.SeedDir(); err == nil {
-		if cases, err := corpus.Load(seedDir); err == nil {
-			for _, cs := range cases {
-				if code, err := cs.Code(); err == nil && len(code) > 0 {
-					pool = append(pool, code)
-				}
-			}
-		}
-	}
-	cres, err := conformance.RunCampaign(ctx, conformance.CampaignConfig{
-		Run: run, Seqs: fs.Seqs, Seed: fs.Seed, MaxUnits: fs.MaxUnits,
-		SeedPool: pool, Journal: supervisor.NewJournal(journal),
+	cc, err := conformance.NewCampaign(conformance.CampaignConfig{
+		Run:  conformance.Config{MaxInsns: fs.MaxInsns},
+		Seqs: fs.Seqs, Seed: fs.Seed, MaxUnits: fs.MaxUnits,
+		Journal:    supervisor.NewJournal(journal),
 		PromoteDir: filepath.Join(dir, "findings"),
-	})
+	}, fs.TimingSeeds, spec.Inject)
+	if err != nil {
+		return nil, err
+	}
+	cres, err := conformance.RunCampaign(ctx, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -299,26 +266,14 @@ func readSpec(path string) (*Spec, error) {
 	return &s, nil
 }
 
-// writeJSON writes v to path atomically (temp + rename), so the daemon
-// never reads a torn result file from a worker killed mid-write.
+// writeJSON writes v to path atomically, so the daemon never reads a
+// torn result file from a worker killed mid-write.
 func writeJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", " ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".jobd-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicWrite(path, data, false)
 }
 
 func writeFailure(dir string, f Failure) {
@@ -335,27 +290,15 @@ type heartbeat struct {
 	Seq      int64  `json:"seq"`
 }
 
-// writeHeartbeat lands one beat atomically (temp + rename): the rename
-// refreshes the mtime the daemon watches, and a crash mid-write leaves
-// the previous intact beat in place instead of a zero-length file.
+// writeHeartbeat lands one beat atomically: the rename refreshes the
+// mtime the daemon watches, and a crash mid-write leaves the previous
+// intact beat in place instead of a zero-length file.
 func writeHeartbeat(path string, hb heartbeat) error {
 	data, err := json.Marshal(&hb)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".hb-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicWrite(path, data, false)
 }
 
 // readHeartbeat parses a heartbeat file's body.

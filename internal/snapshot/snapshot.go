@@ -163,6 +163,24 @@ func Restore(img *Image, cfg core.Config) (*core.Machine, error) {
 	return m, nil
 }
 
+// Swap restores img under old's configuration and carries over the
+// external attachments an image deliberately excludes — the trace sink
+// and source, the step hook and the event log — returning the machine
+// that replaces old. Every checkpoint boundary and every recovery swaps
+// machines through here, so an attachment added to core.Machine is
+// carried in this one place.
+func Swap(old *core.Machine, img *Image) (*core.Machine, error) {
+	fresh, err := Restore(img, old.Config())
+	if err != nil {
+		return nil, err
+	}
+	fresh.Dom.Sink = old.Dom.Sink
+	fresh.Dom.Source = old.Dom.Source
+	fresh.SetStepHook(old.StepHook())
+	fresh.SetEventLog(old.EventLog())
+	return fresh, nil
+}
+
 // Encode serializes the image to bytes (gob).
 func (img *Image) Encode() ([]byte, error) {
 	var buf bytes.Buffer
@@ -258,14 +276,10 @@ func (r *Runner) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	fresh, err := Restore(decoded, r.M.Config())
+	fresh, err := Swap(r.M, decoded)
 	if err != nil {
 		return err
 	}
-	fresh.Dom.Sink = r.M.Dom.Sink
-	fresh.Dom.Source = r.M.Dom.Source
-	fresh.SetStepHook(r.M.StepHook())
-	fresh.SetEventLog(r.M.EventLog())
 	r.M = fresh
 	r.Checkpoints++
 	if r.OnCheckpoint != nil {

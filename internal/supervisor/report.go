@@ -1,6 +1,5 @@
-// Human-readable rendering of the run journal, shared by cmd/ptlmon
-// -journal and cmd/ptlstats -journal so both tools print the same
-// summary of a supervised run: attempt history, failures by kind,
+// Human-readable rendering of the run journal behind cmd/ptlmon
+// -journal, the summary of a supervised run: attempt history, failures by kind,
 // restore and rotation-discard counts, degraded windows, self-check
 // verdicts (divergence/invariant failures with the commit index, RIP
 // and register diff that pinpoint them), triage results, and the run

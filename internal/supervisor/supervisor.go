@@ -290,14 +290,10 @@ func (s *Supervisor) restore(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fresh, err := snapshot.Restore(img, s.M.Config())
+	fresh, err := snapshot.Swap(s.M, img)
 	if err != nil {
 		return fmt.Errorf("supervisor: restoring %s: %w", slot, err)
 	}
-	fresh.Dom.Sink = s.M.Dom.Sink
-	fresh.Dom.Source = s.M.Dom.Source
-	fresh.SetStepHook(s.M.StepHook())
-	fresh.SetEventLog(s.M.EventLog())
 	s.M = fresh
 
 	if img.Cycle == s.lastRestore {
@@ -373,14 +369,10 @@ func (s *Supervisor) saveAndSwap() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	fresh, err := snapshot.Restore(img, s.M.Config())
+	fresh, err := snapshot.Swap(s.M, img)
 	if err != nil {
 		return "", err
 	}
-	fresh.Dom.Sink = s.M.Dom.Sink
-	fresh.Dom.Source = s.M.Dom.Source
-	fresh.SetStepHook(s.M.StepHook())
-	fresh.SetEventLog(s.M.EventLog())
 	s.M = fresh
 	return slot, nil
 }
