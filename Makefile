@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify soak serve-smoke restart-soak fuzz-smoke fuzz-soak fleet-soak load-soak obs-smoke
+.PHONY: build test race vet verify soak serve-smoke restart-soak fuzz-smoke fuzz-soak fleet-soak load-soak obs-smoke ooo-profile
 
 build:
 	$(GO) build ./...
@@ -78,3 +78,12 @@ obs-smoke:
 # reproducibility, and the output directory.
 fuzz-soak:
 	./scripts/fuzz_soak.sh
+
+# ooo-profile attributes the out-of-order core loop's host time to its
+# pipeline stages (fetch / rename / issue / execute / writeback /
+# commit) and lists its allocation sites, from BenchmarkCoreCycle under
+# pprof: the per-layer view behind benchmark/'s busy_cycles_per_s.
+# OOO_PROFILE_RUNS/OOO_PROFILE_DATA tune runs per guest and the output
+# directory.
+ooo-profile:
+	./scripts/ooo_profile.sh

@@ -316,50 +316,118 @@ func (b *BTB) Update(pc, target uint64) {
 }
 
 // RAS is a circular return address stack with full-copy checkpointing
-// for speculative recovery (small enough that copying is cheap).
+// for speculative recovery (small enough that copying is cheap). The
+// copies live in a ring allocated once: taking a checkpoint allocates
+// nothing, and the ring is large enough as long as the owner keeps no
+// more checkpoints alive than it reserved and rewinds the ring when it
+// discards the newest ones (see Rewind).
 type RAS struct {
 	stack []uint64
 	top   int
+
+	// Checkpoint ring: slot i holds a copy of the stack in
+	// ckptStack[i*len(stack):] and of top in ckptTop[i]. The slot count
+	// is a power of two so that the running ordinal nckpt maps to a
+	// slot with a mask and may wrap around uint32 harmlessly.
+	ckptStack []uint64
+	ckptTop   []int32
+	ckptMask  uint32
+	nckpt     uint32 // ordinal the next checkpoint will get
 }
 
-// NewRAS creates a return address stack of the given depth.
+// RASSnapshot identifies a RAS checkpoint: the ordinal it was taken
+// under. Consecutive checkpoints have consecutive ordinals.
+type RASSnapshot uint32
+
+// NewRAS creates a return address stack of the given depth with room
+// for a single checkpoint; ReserveCheckpoints makes room for more.
 func NewRAS(entries int) *RAS {
 	if entries <= 0 {
 		entries = 1
 	}
-	return &RAS{stack: make([]uint64, entries)}
+	r := &RAS{stack: make([]uint64, entries)}
+	r.ReserveCheckpoints(1)
+	return r
+}
+
+// ReserveCheckpoints sizes the checkpoint ring so that at least n
+// checkpoints can be alive at once (rounded up to a power of two). It
+// discards every checkpoint taken so far.
+func (r *RAS) ReserveCheckpoints(n int) {
+	slots := 1
+	for slots < n {
+		slots <<= 1
+	}
+	r.ckptStack = make([]uint64, slots*len(r.stack))
+	r.ckptTop = make([]int32, slots)
+	r.ckptMask = uint32(slots - 1)
+	r.nckpt = 0
 }
 
 // Push records a return address at a call.
 func (r *RAS) Push(ret uint64) {
-	r.top = (r.top + 1) % len(r.stack)
+	r.top++
+	if r.top == len(r.stack) {
+		r.top = 0
+	}
 	r.stack[r.top] = ret
 }
 
 // Pop predicts the target of a return.
 func (r *RAS) Pop() uint64 {
 	v := r.stack[r.top]
-	r.top = (r.top - 1 + len(r.stack)) % len(r.stack)
+	if r.top == 0 {
+		r.top = len(r.stack)
+	}
+	r.top--
 	return v
 }
 
-// Snapshot captures the full RAS state for misspeculation recovery.
+// Snapshot captures the full RAS state for misspeculation recovery in
+// the next ring slot. The checkpoint stays restorable until as many
+// further checkpoints as the ring has slots have been taken on top of
+// it without a Rewind.
 func (r *RAS) Snapshot() RASSnapshot {
-	s := RASSnapshot{top: r.top, stack: make([]uint64, len(r.stack))}
-	copy(s.stack, r.stack)
-	return s
+	s := r.nckpt
+	i := int(s & r.ckptMask)
+	copy(r.ckptStack[i*len(r.stack):], r.stack)
+	r.ckptTop[i] = int32(r.top)
+	r.nckpt++
+	return RASSnapshot(s)
 }
 
-// Restore rewinds the RAS to a snapshot.
+// Restore rewinds the RAS to a snapshot. The checkpoint ring itself is
+// left alone: the snapshot, and those taken after it, stay restorable.
 func (r *RAS) Restore(s RASSnapshot) {
-	r.top = s.top
-	copy(r.stack, s.stack)
+	i := int(uint32(s) & r.ckptMask)
+	r.top = int(r.ckptTop[i])
+	copy(r.stack, r.ckptStack[i*len(r.stack):(i+1)*len(r.stack)])
 }
 
-// RASSnapshot is an opaque RAS checkpoint.
-type RASSnapshot struct {
-	top   int
-	stack []uint64
+// Rewind discards checkpoint s and every checkpoint taken after it, so
+// that their ring slots are the next to be reused. An owner that
+// squashes its youngest speculative work calls this with the oldest
+// checkpoint it squashed; the ring then never holds more than the
+// owner's live checkpoints between its oldest live one and the next
+// slot, however often speculation is squashed and redone.
+func (r *RAS) Rewind(s RASSnapshot) { r.nckpt = uint32(s) }
+
+// AuditCheckpoints checks the owner's view of the checkpoint ring
+// against the RAS's: the owner holds live checkpoints with consecutive
+// ordinals starting at oldest, and they must be the newest ones taken
+// and fit in the ring (or an older one has been overwritten).
+func (r *RAS) AuditCheckpoints(oldest RASSnapshot, live int) error {
+	if live == 0 {
+		return nil
+	}
+	if live > len(r.ckptTop) {
+		return fmt.Errorf("bpred: %d live RAS checkpoints in a ring of %d", live, len(r.ckptTop))
+	}
+	if uint32(oldest)+uint32(live) != r.nckpt {
+		return fmt.Errorf("bpred: live RAS checkpoints [%d,+%d) do not end at the next ordinal %d",
+			oldest, live, r.nckpt)
+	}
+	return nil
 }
 
 // Audit checks the stack's structural bounds: the top pointer must

@@ -211,3 +211,59 @@ func TestK8ConfigShape(t *testing.T) {
 	_, snap := p.PredictDirection(0xFFFF800000001000)
 	p.Update(0xFFFF800000001000, true, snap)
 }
+
+// TestRASCheckpointRing: checkpoints come from a ring allocated once;
+// rewinding to a squashed checkpoint makes its slot the next one used,
+// so older live checkpoints survive any number of squash-and-refetch
+// rounds, and the owner's view is auditable.
+func TestRASCheckpointRing(t *testing.T) {
+	r := NewRAS(4)
+	r.ReserveCheckpoints(3) // rounds up to 4 slots
+	r.Push(0x100)
+	old := r.Snapshot() // held by a call that stays in flight
+	for round := uint64(0); round < 50; round++ {
+		// Wrong-path work: three calls that get squashed.
+		r.Push(0x200 + round)
+		first := r.Snapshot()
+		r.Push(0x300 + round)
+		r.Snapshot()
+		r.Push(0x400 + round)
+		r.Snapshot()
+		if err := r.AuditCheckpoints(old, 4); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		r.Rewind(first)
+		if err := r.AuditCheckpoints(old, 1); err != nil {
+			t.Fatalf("round %d after rewind: %v", round, err)
+		}
+	}
+	r.Restore(old)
+	if got := r.Pop(); got != 0x100 {
+		t.Fatalf("after 50 squashed rounds the old checkpoint restores %#x, want 0x100", got)
+	}
+	if s := r.Snapshot(); s != old+1 {
+		t.Fatalf("next checkpoint after the rewinds has ordinal %d, want %d", s, old+1)
+	}
+
+	// The audit notices an owner that holds more than the ring, or whose
+	// newest checkpoint is not the newest taken (a missed rewind).
+	if err := r.AuditCheckpoints(old, 5); err == nil {
+		t.Fatal("5 live checkpoints in a 4-slot ring passed the audit")
+	}
+	r.Snapshot()
+	if err := r.AuditCheckpoints(old, 2); err == nil {
+		t.Fatal("a checkpoint the owner does not know of passed the audit")
+	}
+}
+
+func TestRASSnapshotDoesNotAllocate(t *testing.T) {
+	r := NewRAS(12)
+	r.ReserveCheckpoints(96)
+	if n := testing.AllocsPerRun(1000, func() {
+		s := r.Snapshot()
+		r.Push(0x1234)
+		r.Restore(s)
+	}); n != 0 {
+		t.Fatalf("Snapshot/Restore allocate %v times per call", n)
+	}
+}

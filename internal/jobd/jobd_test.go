@@ -196,16 +196,24 @@ func TestJobCompletes(t *testing.T) {
 		t.Fatalf("GET /jobs/9999: %v %v", resp.StatusCode, err)
 	}
 
-	// Journal: submit → start → done, in the shared entry format.
+	// Journal: submit → start → done, in the shared entry format. The
+	// state flips to done before completeJob appends its fsync'd store
+	// record and then the job_done entry, so wait for that entry rather
+	// than reading the journal once.
 	var sawSubmit, sawStart, sawDone bool
-	for _, e := range jb.entries(t) {
-		switch e.Event {
-		case supervisor.EventJobSubmit:
-			sawSubmit = true
-		case supervisor.EventJobStart:
-			sawStart = e.PID > 0
-		case supervisor.EventJobDone:
-			sawDone = e.Job == st.ID && e.Insns > 0
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		for _, e := range jb.entries(t) {
+			switch e.Event {
+			case supervisor.EventJobSubmit:
+				sawSubmit = true
+			case supervisor.EventJobStart:
+				sawStart = e.PID > 0
+			case supervisor.EventJobDone:
+				sawDone = e.Job == st.ID && e.Insns > 0
+			}
+		}
+		if sawDone || time.Now().After(deadline) {
+			break
 		}
 	}
 	if !sawSubmit || !sawStart || !sawDone {

@@ -16,9 +16,8 @@ import (
 func (c *Core) commit() error {
 	budget := c.cfg.CommitWidth
 	for i := 0; i < len(c.threads) && budget > 0; i++ {
-		th := c.threads[(int(c.now)+i)%len(c.threads)]
 		var err error
-		budget, err = c.commitThread(th, budget)
+		budget, err = c.commitThread(c.rrThread(i), budget)
 		if err != nil {
 			return err
 		}
@@ -40,12 +39,11 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 			if !ctx.Running {
 				ctx.Running = true
 			}
-			// ctx.RIP currently points at the next uncommitted
-			// instruction; flush everything and enter the handler.
+			// ctx.RIP must point at the next uncommitted
+			// instruction (with an empty ROB it already is the committed
+			// boundary); flush everything and enter the handler.
 			if th.robCount > 0 {
 				ctx.RIP = th.robAt(0).uop.RIP
-			} else if th.fetchFault != uops.FaultNone || th.curBB != nil || len(th.fetchQ) > 0 {
-				// keep ctx.RIP (committed boundary)
 			}
 			// Deliver first (it rewrites RSP/RFLAGS/RIP), then flush so
 			// the fresh rename table snapshots the post-delivery state.
@@ -66,7 +64,7 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 		if th.robCount == 0 {
 			// Nothing in flight: a pending fetch fault becomes an
 			// exception now (its RIP is the fetch RIP).
-			if th.fetchFault != uops.FaultNone && len(th.fetchQ) == 0 {
+			if th.fetchFault != uops.FaultNone && th.fetchQ.len() == 0 {
 				fault := th.fetchFault
 				dbgf("fetch fault %v at rip %#x", fault, th.fetchRIP)
 				ctx.RIP = th.fetchRIP
@@ -154,7 +152,6 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 		}
 		smcPage := uint64(0)
 		smcHit := false
-		var mispredictRedirect bool
 		for k := 0; k < n; k++ {
 			e := th.robAt(0)
 			u := &e.uop
@@ -215,7 +212,7 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 			c.freePhys(e.flOld)
 			c.popLSQ(th, e)
 			e.valid = false
-			th.robHead = (th.robHead + 1) % len(th.rob)
+			th.robHead = th.robSlot(1)
 			th.robCount--
 		}
 		budget -= n
@@ -242,7 +239,6 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 			th.fetchRIP = ctx.RIP
 			return budget, nil
 		}
-		_ = mispredictRedirect
 	}
 	return budget, nil
 }
@@ -313,10 +309,10 @@ func (c *Core) applyStore(th *thread, e *robEntry) (uint64, bool) {
 
 // popLSQ removes a committed entry from the head of its LDQ/STQ.
 func (c *Core) popLSQ(th *thread, e *robEntry) {
-	if e.uop.IsLoad() && len(th.ldq) > 0 {
-		th.ldq = th.ldq[1:]
+	if e.uop.IsLoad() && th.ldq.len() > 0 {
+		th.ldq.popFront()
 	}
-	if e.uop.IsStore() && len(th.stq) > 0 {
-		th.stq = th.stq[1:]
+	if e.uop.IsStore() && th.stq.len() > 0 {
+		th.stq.popFront()
 	}
 }

@@ -27,23 +27,30 @@ const (
 // physReg is one physical register file entry.
 type physReg struct {
 	value uint64
-	ready bool
+	ready uint8 // 1 once the value is available (a number so that the select loop can AND three of them)
+	// waiters has bit q%32 set when issue queue q may hold a uop
+	// waiting for this register: the queues writeback wakes when it
+	// sets ready. A stale bit only costs a needless scan.
+	waiters uint32
 }
 
-// robEntry is one reorder buffer slot (one uop).
+// robEntry is one reorder buffer slot (one uop). It holds no pointers,
+// so the collector never scans the ROB and filling a slot needs no
+// write barriers.
 type robEntry struct {
 	valid bool
 	uop   uops.Uop
 	seq   uint64
 
-	rdPhys, rdOld int // -1 when no destination
-	flPhys, flOld int // -1 when no flag write
-	src           [3]int
+	rdPhys, rdOld int32 // -1 when no destination
+	flPhys, flOld int32 // -1 when no flag write
+	src           [3]int32
 
 	state      robState
+	class      OpClass
 	readyCycle uint64
 	earliest   uint64 // replay backoff: do not issue before this cycle
-	cluster    int
+	cluster    int32
 
 	result uint64
 	fault  uops.Fault
@@ -63,10 +70,11 @@ type robEntry struct {
 	mispredicted bool
 }
 
-func (e *robEntry) isMem() bool   { return e.uop.IsLoad() || e.uop.IsStore() }
+func (e *robEntry) isMem() bool    { return e.uop.IsLoad() || e.uop.IsStore() }
 func (e *robEntry) isAssist() bool { return e.uop.Op == uops.OpAssist }
 
-// fetched is a predicted uop waiting in the fetch queue for rename.
+// fetched is a predicted uop waiting in the fetch queue for rename
+// (pointer-free, like robEntry).
 type fetched struct {
 	uop          uops.Uop
 	predTarget   uint64
@@ -85,17 +93,17 @@ type thread struct {
 	id  int
 	ctx *vm.Context
 
-	rat [uops.NumArchRegs]int
+	rat [uops.NumArchRegs]int32
 
 	rob      []robEntry
 	robHead  int
 	robCount int
 
-	ldq []int // rob indices of loads, program order
-	stq []int // rob indices of stores, program order
+	ldq ring[int32] // rob slots of loads, program order (capacity LDQSize)
+	stq ring[int32] // rob slots of stores, program order (capacity STQSize)
 
 	fetchRIP        uint64
-	fetchQ          []fetched
+	fetchQ          ring[fetched] // capacity FetchQSize
 	curBB           *decode.BasicBlock
 	bbIdx           int
 	fetchStallUntil uint64
@@ -104,16 +112,15 @@ type thread struct {
 
 	pred *bpred.Predictor
 
+	// redirect is this thread's pending recovery (the oldest one raised
+	// this cycle), applied by applyRedirects after the issue stage.
+	redirect    redirect
+	hasRedirect bool
+
 	// Per-thread TLBs (tagged-by-thread model: SMT threads may run in
 	// different address spaces).
 	dtlb *tlb.TLB
 	itlb *tlb.TLB
-}
-
-// iqEntry is an issue queue slot referring back to a ROB entry.
-type iqEntry struct {
-	thread, rob int
-	seq         uint64
 }
 
 // CommittedStore describes one store applied to memory by a committing
@@ -157,8 +164,12 @@ type Core struct {
 
 	threads []*thread
 	prf     []physReg
-	free    []int
-	iqs     [][]iqEntry
+	free    []int32
+	iqs     []issueQueue
+	compl   completionHeap
+
+	// clustersOf lists, per op class, the clusters that execute it.
+	clustersOf [NumClasses][]int
 
 	hier *cache.Hierarchy
 
@@ -169,12 +180,13 @@ type Core struct {
 	now uint64
 	seq uint64
 
-	// Per-cycle L1D bank usage: bank -> line address.
-	bankUse map[int]uint64
+	// rr is the thread that goes first this cycle in the stages that
+	// share their width round-robin across SMT threads.
+	rr int
 
-	// Deferred branch/load-speculation recoveries, applied once per
-	// cycle after the issue stage.
-	redirects []redirect
+	// L1D bank usage, one slot per bank: the line that used the bank in
+	// cycle stamp-1 (a stale stamp means the bank is free this cycle).
+	banks []bankStamp
 
 	// commitLimit, when positive, stops the commit stage once that
 	// many x86 instructions have committed (used by co-simulation to
@@ -212,15 +224,15 @@ type Core struct {
 	ev *evlog.Log
 
 	// Statistics.
-	cInsns, cUops, cCycles                  *stats.Counter
-	cBranches, cMispredicts, cTaken        *stats.Counter
-	cLoads, cStores                        *stats.Counter
-	cDTLBMiss, cITLBMiss, cWalks           *stats.Counter
-	cReplays, cBankReplays, cForwards      *stats.Counter
-	cFlushes, cAssists, cInterrupts        *stats.Counter
-	cLockReplays, cSMC, cLoadSpecFlush     *stats.Counter
-	cFetchStallIQ, cFetchStallROB          *stats.Counter
-	cKernelInsns, cUserInsns               *stats.Counter
+	cInsns, cUops, cCycles             *stats.Counter
+	cBranches, cMispredicts, cTaken    *stats.Counter
+	cLoads, cStores                    *stats.Counter
+	cDTLBMiss, cITLBMiss, cWalks       *stats.Counter
+	cReplays, cBankReplays, cForwards  *stats.Counter
+	cFlushes, cAssists, cInterrupts    *stats.Counter
+	cLockReplays, cSMC, cLoadSpecFlush *stats.Counter
+	cFetchStallIQ, cFetchStallROB      *stats.Counter
+	cKernelInsns, cUserInsns           *stats.Counter
 }
 
 // New creates a core with the given contexts as its SMT threads.
@@ -233,48 +245,66 @@ func New(id int, cfg Config, ctxs []*vm.Context, sys vm.System, bbc *bbcache.Cac
 		ID:        id,
 		cfg:       cfg,
 		prf:       make([]physReg, cfg.PhysRegs),
-		iqs:       make([][]iqEntry, len(cfg.Clusters)),
+		free:      make([]int32, 0, cfg.PhysRegs),
+		iqs:       make([]issueQueue, len(cfg.Clusters)),
+		compl:     make(completionHeap, 0, len(ctxs)*cfg.ROBSize),
+		banks:     make([]bankStamp, max(cfg.Caches.L1D.Banks, 1)),
 		hier:      cache.NewHierarchy(cfg.Caches, tree, prefix+".cache"),
 		bbc:       bbc,
 		sys:       sys,
 		interlock: NewInterlock(),
-		bankUse:   make(map[int]uint64),
 
-		cInsns:        tree.Counter(prefix + ".commit.insns"),
-		cUops:         tree.Counter(prefix + ".commit.uops"),
-		cCycles:       tree.Counter(prefix + ".cycles"),
-		cBranches:     tree.Counter(prefix + ".branches"),
-		cMispredicts:  tree.Counter(prefix + ".mispredicts"),
-		cTaken:        tree.Counter(prefix + ".taken_branches"),
-		cLoads:        tree.Counter(prefix + ".loads"),
-		cStores:       tree.Counter(prefix + ".stores"),
-		cDTLBMiss:     tree.Counter(prefix + ".dtlb.misses"),
-		cITLBMiss:     tree.Counter(prefix + ".itlb.misses"),
-		cWalks:        tree.Counter(prefix + ".pagewalks"),
-		cReplays:      tree.Counter(prefix + ".replays"),
-		cBankReplays:  tree.Counter(prefix + ".bank_replays"),
-		cForwards:     tree.Counter(prefix + ".store_forwards"),
-		cFlushes:      tree.Counter(prefix + ".pipeline_flushes"),
-		cAssists:      tree.Counter(prefix + ".assists"),
-		cInterrupts:   tree.Counter(prefix + ".interrupts"),
-		cLockReplays:  tree.Counter(prefix + ".lock_replays"),
-		cSMC:          tree.Counter(prefix + ".smc_flushes"),
+		cInsns:         tree.Counter(prefix + ".commit.insns"),
+		cUops:          tree.Counter(prefix + ".commit.uops"),
+		cCycles:        tree.Counter(prefix + ".cycles"),
+		cBranches:      tree.Counter(prefix + ".branches"),
+		cMispredicts:   tree.Counter(prefix + ".mispredicts"),
+		cTaken:         tree.Counter(prefix + ".taken_branches"),
+		cLoads:         tree.Counter(prefix + ".loads"),
+		cStores:        tree.Counter(prefix + ".stores"),
+		cDTLBMiss:      tree.Counter(prefix + ".dtlb.misses"),
+		cITLBMiss:      tree.Counter(prefix + ".itlb.misses"),
+		cWalks:         tree.Counter(prefix + ".pagewalks"),
+		cReplays:       tree.Counter(prefix + ".replays"),
+		cBankReplays:   tree.Counter(prefix + ".bank_replays"),
+		cForwards:      tree.Counter(prefix + ".store_forwards"),
+		cFlushes:       tree.Counter(prefix + ".pipeline_flushes"),
+		cAssists:       tree.Counter(prefix + ".assists"),
+		cInterrupts:    tree.Counter(prefix + ".interrupts"),
+		cLockReplays:   tree.Counter(prefix + ".lock_replays"),
+		cSMC:           tree.Counter(prefix + ".smc_flushes"),
 		cLoadSpecFlush: tree.Counter(prefix + ".load_spec_flushes"),
-		cFetchStallIQ: tree.Counter(prefix + ".stall.iq_full"),
+		cFetchStallIQ:  tree.Counter(prefix + ".stall.iq_full"),
 		cFetchStallROB: tree.Counter(prefix + ".stall.rob_full"),
-		cKernelInsns:  tree.Counter(prefix + ".commit.kernel_insns"),
-		cUserInsns:    tree.Counter(prefix + ".commit.user_insns"),
+		cKernelInsns:   tree.Counter(prefix + ".commit.kernel_insns"),
+		cUserInsns:     tree.Counter(prefix + ".commit.user_insns"),
 	}
 	for i := range c.prf {
-		c.free = append(c.free, len(c.prf)-1-i)
+		c.free = append(c.free, int32(len(c.prf)-1-i))
+	}
+	for q, cl := range cfg.Clusters {
+		c.iqs[q].ents = make([]iqEntry, 0, cl.IQSize)
+		c.iqs[q].width = cl.IssueWidth
+		for op := OpClass(0); op < NumClasses; op++ {
+			c.iqs[q].latency[op] = max(cfg.Latency[op]+cl.ExtraLatency, 1)
+			if cl.Classes.Has(op) {
+				c.clustersOf[op] = append(c.clustersOf[op], q)
+			}
+		}
 	}
 	for i, ctx := range ctxs {
 		th := &thread{id: i, ctx: ctx, fetchRIP: ctx.RIP,
-			rob:  make([]robEntry, cfg.ROBSize),
-			pred: bpred.New(cfg.Bpred),
-			dtlb: tlb.New(cfg.DTLBEntries, cfg.DTLBAssoc),
-			itlb: tlb.New(cfg.ITLBEntries, cfg.ITLBAssoc),
+			rob:    make([]robEntry, cfg.ROBSize),
+			ldq:    newRing[int32](cfg.LDQSize),
+			stq:    newRing[int32](cfg.STQSize),
+			fetchQ: newRing[fetched](cfg.FetchQSize),
+			pred:   bpred.New(cfg.Bpred),
+			dtlb:   tlb.New(cfg.DTLBEntries, cfg.DTLBAssoc),
+			itlb:   tlb.New(cfg.ITLBEntries, cfg.ITLBAssoc),
 		}
+		// Every call or return in the fetch queue or the ROB holds one
+		// RAS checkpoint.
+		th.pred.RAS().ReserveCheckpoints(cfg.FetchQSize + cfg.ROBSize)
 		c.threads = append(c.threads, th)
 		c.initRAT(th)
 	}
@@ -415,7 +445,7 @@ func (c *Core) CorruptROBHead() bool {
 
 // allocPhys takes a physical register off the free list (-2 when
 // exhausted; callers treat that as a rename stall).
-func (c *Core) allocPhys(value uint64, ready bool) int {
+func (c *Core) allocPhys(value uint64, ready uint8) int32 {
 	if len(c.free) == 0 {
 		return -2
 	}
@@ -425,7 +455,7 @@ func (c *Core) allocPhys(value uint64, ready bool) int {
 	return p
 }
 
-func (c *Core) freePhys(p int) {
+func (c *Core) freePhys(p int32) {
 	if p >= 0 {
 		c.free = append(c.free, p)
 	}
@@ -439,7 +469,7 @@ func (c *Core) initRAT(th *thread) {
 		if r != uops.RegZero {
 			v = th.ctx.Regs[r]
 		}
-		p := c.allocPhys(v, true)
+		p := c.allocPhys(v, 1)
 		if p < 0 {
 			panic("ooo: out of physical registers during RAT init")
 		}
@@ -455,9 +485,45 @@ func (c *Core) releaseRAT(th *thread) {
 	}
 }
 
-// robIndex converts a logical offset from head to a physical slot.
-func (th *thread) robAt(offset int) *robEntry {
-	return &th.rob[(th.robHead+offset)%len(th.rob)]
+// robSlot converts a logical offset from head (< ROB size) to a
+// physical slot.
+func (th *thread) robSlot(offset int) int {
+	i := th.robHead + offset
+	if i >= len(th.rob) {
+		i -= len(th.rob)
+	}
+	return i
+}
+
+// robAt returns the entry at a logical offset from head.
+func (th *thread) robAt(offset int) *robEntry { return &th.rob[th.robSlot(offset)] }
+
+// dropFrontend empties the thread's fetch queue and restarts fetch at
+// rip after the redirect penalty (every squash ends this way).
+func (c *Core) dropFrontend(th *thread, rip uint64) {
+	th.fetchQ.clear()
+	th.curBB = nil
+	th.fetchFault = uops.FaultNone
+	th.fetchRIP = rip
+	th.fetchStallUntil = c.now + c.cfg.FrontendLatency
+}
+
+// squashIQ removes thread t's issue queue entries younger than
+// afterSeq, and their scheduled completions. A queue's wakeAt stays
+// valid: removing entries cannot make a remaining one issuable sooner.
+func (c *Core) squashIQ(t int, afterSeq uint64) {
+	for q := range c.iqs {
+		ents := c.iqs[q].ents
+		keep := ents[:0]
+		for i := range ents {
+			if int(ents[i].thread) == t && ents[i].seq > afterSeq {
+				continue
+			}
+			keep = append(keep, ents[i])
+		}
+		c.iqs[q].ents = keep
+	}
+	c.compl.purge(int32(t), afterSeq)
 }
 
 // FullFlush squashes everything in flight for thread t and restarts
@@ -492,24 +558,11 @@ func (c *Core) FullFlush(t int) {
 	}
 	th.robCount = 0
 	th.robHead = 0
-	th.ldq = th.ldq[:0]
-	th.stq = th.stq[:0]
-	th.fetchQ = th.fetchQ[:0]
-	th.curBB = nil
-	th.fetchFault = uops.FaultNone
-	th.fetchRIP = th.ctx.RIP
-	th.fetchStallUntil = c.now + c.cfg.FrontendLatency
+	th.ldq.clear()
+	th.stq.clear()
+	c.dropFrontend(th, th.ctx.RIP)
 	c.interlock.ReleaseAllFor(c.ID, t, 0)
-	// Remove this thread's entries from all issue queues.
-	for q := range c.iqs {
-		keep := c.iqs[q][:0]
-		for _, ent := range c.iqs[q] {
-			if ent.thread != t {
-				keep = append(keep, ent)
-			}
-		}
-		c.iqs[q] = keep
-	}
+	c.squashIQ(t, 0)
 	c.releaseRAT(th)
 	c.initRAT(th)
 	c.cFlushes.Inc()
@@ -533,6 +586,16 @@ func (c *Core) squashAfter(t int, seq uint64, newRIP uint64) {
 			Arg: newRIP, Op: evlog.NoOp, Stage: evlog.StageRedirect,
 			Core: uint8(c.ID), Thread: uint8(t)})
 	}
+	// The squashed uops' RAS checkpoints are the newest ones taken (the
+	// whole fetch queue, then the ROB tail); the oldest of them is where
+	// the checkpoint ring rewinds to.
+	var rewind bpred.RASSnapshot
+	hasRewind := false
+	for i := th.fetchQ.len() - 1; i >= 0; i-- {
+		if f := th.fetchQ.at(i); f.hasRASSnap {
+			rewind, hasRewind = f.rasSnap, true
+		}
+	}
 	// Walk from tail (youngest) toward head, undoing renames.
 	for th.robCount > 0 {
 		e := th.robAt(th.robCount - 1)
@@ -550,38 +613,31 @@ func (c *Core) squashAfter(t int, seq uint64, newRIP uint64) {
 		if e.lockHeld {
 			c.interlock.Release(e.lockLine, c.ID, t, insnSeqOf(e))
 		}
+		if e.hasRASSnap {
+			rewind, hasRewind = e.rasSnap, true
+		}
 		e.valid = false
 		th.robCount--
 	}
-	// Trim LDQ/STQ.
-	trim := func(q []int) []int {
-		for len(q) > 0 {
-			idx := q[len(q)-1]
-			if th.rob[idx].valid && th.rob[idx].seq <= seq {
-				break
-			}
-			q = q[:len(q)-1]
-		}
-		return q
+	if hasRewind {
+		th.pred.RAS().Rewind(rewind)
 	}
-	th.ldq = trim(th.ldq)
-	th.stq = trim(th.stq)
-	// Remove squashed entries from issue queues.
-	for q := range c.iqs {
-		keep := c.iqs[q][:0]
-		for _, ent := range c.iqs[q] {
-			if ent.thread == t && ent.seq > seq {
-				continue
-			}
-			keep = append(keep, ent)
+	th.trimLSQ(&th.ldq, seq)
+	th.trimLSQ(&th.stq, seq)
+	c.squashIQ(t, seq)
+	c.dropFrontend(th, newRIP)
+}
+
+// trimLSQ pops the entries younger than seq off the tail of q (the
+// thread's LDQ or STQ) after their ROB entries have been squashed.
+func (th *thread) trimLSQ(q *ring[int32], seq uint64) {
+	for q.len() > 0 {
+		e := &th.rob[*q.at(q.len() - 1)]
+		if e.valid && e.seq <= seq {
+			break
 		}
-		c.iqs[q] = keep
+		q.popBack()
 	}
-	th.fetchQ = th.fetchQ[:0]
-	th.curBB = nil
-	th.fetchFault = uops.FaultNone
-	th.fetchRIP = newRIP
-	th.fetchStallUntil = c.now + c.cfg.FrontendLatency
 }
 
 // insnSeqOf returns the sequence number identifying the x86 instruction
@@ -632,8 +688,9 @@ func (c *Core) Cycle(now uint64) error {
 		}
 	}
 	c.cCycles.Inc()
-	for b := range c.bankUse {
-		delete(c.bankUse, b)
+	c.rr = 0
+	if n := len(c.threads); n > 1 {
+		c.rr = int(now % uint64(n))
 	}
 	progressBefore := c.cUops.Value() + c.cInterrupts.Value() + c.cAssists.Value()
 	if err := c.commit(); err != nil {
@@ -679,9 +736,23 @@ func (c *Core) checkWatchdog(progressBefore int64) error {
 }
 
 // redirect is a deferred pipeline recovery: squash everything with
-// seq > afterSeq on thread and refetch from rip.
+// seq > afterSeq on its thread and refetch from rip.
 type redirect struct {
-	thread   int
 	afterSeq uint64
 	rip      uint64
+}
+
+// bankStamp records the last use of one L1D bank.
+type bankStamp struct {
+	stamp uint64 // cycle of the use + 1 (0 = never used)
+	line  uint64
+}
+
+// rrThread returns the i-th thread in this cycle's round-robin order.
+func (c *Core) rrThread(i int) *thread {
+	i += c.rr
+	if i >= len(c.threads) {
+		i -= len(c.threads)
+	}
+	return c.threads[i]
 }

@@ -16,14 +16,14 @@ const maxDumpEntries = 24
 func (c *Core) DumpState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "core %d @ cycle %d: %d free physregs\n", c.ID, c.now, len(c.free))
-	for q, iq := range c.iqs {
+	for q := range c.iqs {
 		fmt.Fprintf(&b, "  iq %s: %d/%d entries\n",
-			c.cfg.Clusters[q].Name, len(iq), c.cfg.Clusters[q].IQSize)
+			c.cfg.Clusters[q].Name, len(c.iqs[q].ents), c.cfg.Clusters[q].IQSize)
 	}
 	for _, th := range c.threads {
 		fmt.Fprintf(&b, "  thread %d (vcpu %d): rip=%#x kernel=%v running=%v fetchrip=%#x rob=%d/%d ldq=%d stq=%d fetchq=%d\n",
 			th.id, th.ctx.ID, th.ctx.RIP, th.ctx.Kernel, th.ctx.Running,
-			th.fetchRIP, th.robCount, len(th.rob), len(th.ldq), len(th.stq), len(th.fetchQ))
+			th.fetchRIP, th.robCount, len(th.rob), th.ldq.len(), th.stq.len(), th.fetchQ.len())
 		n := th.robCount
 		if n > maxDumpEntries {
 			n = maxDumpEntries

@@ -9,87 +9,124 @@ import (
 
 // writeback completes executing uops whose latency has elapsed: their
 // physical registers become ready, waking dependent uops in the issue
-// queues (broadcast wakeup).
+// queues (broadcast wakeup). The due completions come off the
+// completion heap in thread-major, then program order.
 func (c *Core) writeback() {
-	for _, th := range c.threads {
-		for i := 0; i < th.robCount; i++ {
-			e := th.robAt(i)
-			if e.state == stateIssued && e.readyCycle <= c.now {
-				e.state = stateDone
-				if e.rdPhys >= 0 {
-					c.prf[e.rdPhys].ready = true
-				}
-				if e.flPhys >= 0 {
-					c.prf[e.flPhys].ready = true
-				}
-				if c.ev != nil {
-					c.ev.Record(evlog.Event{Cycle: c.now, Seq: e.seq, RIP: e.uop.RIP,
-						Arg: e.result, Op: uint16(e.uop.Op), Stage: evlog.StageComplete,
-						Core: uint8(c.ID), Thread: uint8(th.id)})
-				}
+	var wake uint32 // queueBits of the queues with a uop to wake
+	for len(c.compl) > 0 && c.compl[0].due <= c.now {
+		ev := c.compl.pop()
+		e := &c.threads[ev.thread].rob[ev.slot]
+		e.state = stateDone
+		if e.rdPhys >= 0 {
+			wake |= c.setReady(e.rdPhys)
+		}
+		if e.flPhys >= 0 {
+			wake |= c.setReady(e.flPhys)
+		}
+		if c.ev != nil {
+			c.ev.Record(evlog.Event{Cycle: c.now, Seq: e.seq, RIP: e.uop.RIP,
+				Arg: e.result, Op: uint16(e.uop.Op), Stage: evlog.StageComplete,
+				Core: uint8(c.ID), Thread: uint8(ev.thread)})
+		}
+	}
+	if wake != 0 {
+		for q := range c.iqs {
+			if wake&queueBit(q) != 0 {
+				c.iqs[q].wakeAt = 0
 			}
 		}
 	}
 }
 
-// srcReady reports whether physical register p holds a valid value.
-func (c *Core) srcReady(p int) bool { return p < 0 || c.prf[p].ready }
+// setReady marks physical register p's value available and returns the
+// queues that may hold a uop waiting for it.
+func (c *Core) setReady(p int32) uint32 {
+	r := &c.prf[p]
+	w := r.waiters
+	r.ready, r.waiters = 1, 0
+	return w
+}
 
-// srcValue reads a source operand value.
-func (c *Core) srcValue(p int) uint64 {
-	if p < 0 {
-		return 0
-	}
-	return c.prf[p].value
+// queueBit is issue queue q's bit in physReg.waiters (queues 32 apart
+// share one, which only wakes a queue more often than it needs).
+func queueBit(q int) uint32 { return 1 << (uint(q) & 31) }
+
+// srcsReady reports whether all three source registers hold a value.
+func (c *Core) srcsReady(src *[3]int32) bool {
+	return c.prf[src[0]].ready&c.prf[src[1]].ready&c.prf[src[2]].ready != 0
 }
 
 // issue selects ready uops from each cluster's issue queue (oldest
-// first, collapsing on issue) and executes them.
+// first, collapsing on issue) and executes them. A queue whose last
+// scan found nothing that could issue is skipped until it is woken
+// (issueQueue.wakeAt).
 func (c *Core) issue() {
 	for q := range c.iqs {
-		width := c.cfg.Clusters[q].IssueWidth
-		iq := c.iqs[q]
-		kept := iq[:0]
+		iq := &c.iqs[q]
+		if c.now < iq.wakeAt {
+			continue
+		}
+		ents := iq.ents
 		issued := 0
-		for n, ent := range iq {
-			if issued >= width {
-				kept = append(kept, iq[n:]...)
+		wake := never
+		w := 0 // ents[:w] are kept; w == n until the first removal
+		n := 0
+		for ; n < len(ents); n++ {
+			if issued >= iq.width {
+				wake = 0 // the rest was not looked at
 				break
 			}
-			th := c.threads[ent.thread]
-			e := &th.rob[ent.rob]
-			if !e.valid || e.seq != ent.seq {
-				continue // squashed
-			}
-			if e.earliest > c.now || !c.srcReady(e.src[0]) || !c.srcReady(e.src[1]) || !c.srcReady(e.src[2]) {
-				kept = append(kept, ent)
-				continue
-			}
-			if !c.execute(th, e, q) {
+			ent := &ents[n]
+			if !c.srcsReady(&ent.src) {
+				// Waits for a writeback, which wakes the queue.
+			} else if ent.earliest > c.now {
+				wake = min(wake, ent.earliest)
+			} else {
+				th := c.threads[ent.thread]
+				e := &th.rob[ent.rob]
+				if c.execute(th, e, q) {
+					if c.ev != nil {
+						var fl uint8
+						if e.mispredicted {
+							fl |= evlog.FlagMispredict
+						}
+						if e.earliest > 0 {
+							fl |= evlog.FlagReplayed
+						}
+						c.ev.Record(evlog.Event{Cycle: c.now, Seq: e.seq, RIP: e.uop.RIP,
+							Arg: e.ea, Op: uint16(e.uop.Op), Stage: evlog.StageIssue,
+							Flags: fl, Core: uint8(c.ID), Thread: uint8(th.id)})
+					}
+					due := e.readyCycle
+					if due <= c.now {
+						due = c.now + 1 // the next writeback is the first to see it
+					}
+					c.compl.push(completion{due: due, seq: e.seq, thread: ent.thread, slot: ent.rob})
+					issued++
+					continue
+				}
 				// Replay: stays in the queue with a backoff.
 				if c.ev != nil {
 					c.ev.Record(evlog.Event{Cycle: c.now, Seq: e.seq, RIP: e.uop.RIP,
 						Arg: e.ea, Op: uint16(e.uop.Op), Stage: evlog.StageReplay,
 						Flags: evlog.FlagReplayed, Core: uint8(c.ID), Thread: uint8(th.id)})
 				}
-				kept = append(kept, ent)
-				continue
+				ent.earliest = e.earliest
+				wake = min(wake, ent.earliest)
 			}
-			if c.ev != nil {
-				var fl uint8
-				if e.mispredicted {
-					fl |= evlog.FlagMispredict
-				}
-				if e.earliest > 0 {
-					fl |= evlog.FlagReplayed
-				}
-				c.ev.Record(evlog.Event{Cycle: c.now, Seq: e.seq, RIP: e.uop.RIP,
-					Arg: e.ea, Op: uint16(e.uop.Op), Stage: evlog.StageIssue,
-					Flags: fl, Core: uint8(c.ID), Thread: uint8(th.id)})
+			if w != n {
+				ents[w] = *ent
 			}
-			issued++
+			w++
 		}
-		c.iqs[q] = kept
+		if w != n {
+			for ; n < len(ents); n++ { // a few entries: cheaper than memmove
+				ents[w] = ents[n]
+				w++
+			}
+			iq.ents = ents[:w]
+		}
+		iq.wakeAt = wake
 	}
 }
 
@@ -98,21 +135,15 @@ func (c *Core) issue() {
 // unresolved older store).
 func (c *Core) execute(th *thread, e *robEntry, cluster int) bool {
 	u := &e.uop
-	a := c.srcValue(e.src[0])
-	var b uint64
+	a := c.prf[e.src[0]].value
+	b := c.prf[e.src[1]].value
 	if u.BImm {
 		b = uint64(u.Imm)
-	} else {
-		b = c.srcValue(e.src[1])
 	}
-	cv := c.srcValue(e.src[2])
+	cv := c.prf[e.src[2]].value
 
 	res, flagsOut, fault := uops.Exec(u, a, b, cv)
-	lat := c.cfg.Latency[classOf(u)] + c.cfg.Clusters[cluster].ExtraLatency
-	if lat == 0 {
-		lat = 1
-	}
-	ready := c.now + lat
+	ready := c.now + c.iqs[cluster].latency[e.class]
 
 	switch {
 	case u.IsLoad():
@@ -187,12 +218,12 @@ func (c *Core) bankConflict(pa uint64) bool {
 	if !c.cfg.EnforceBanking {
 		return false
 	}
-	bank := c.hier.L1D().Bank(pa)
+	b := &c.banks[c.hier.L1D().Bank(pa)]
 	line := c.hier.L1D().LineAddr(pa)
-	if prev, used := c.bankUse[bank]; used && prev != line {
+	if b.stamp == c.now+1 && b.line != line {
 		return true
 	}
-	c.bankUse[bank] = line
+	b.stamp, b.line = c.now+1, line
 	return false
 }
 
@@ -206,8 +237,8 @@ func (c *Core) executeLoad(th *thread, e *robEntry, ea uint64) (bool, uint64) {
 	// Search older stores in the STQ.
 	forward := false
 	var fwdVal uint64
-	for i := len(th.stq) - 1; i >= 0; i-- {
-		s := &th.rob[th.stq[i]]
+	for i := th.stq.len() - 1; i >= 0; i-- {
+		s := &th.rob[*th.stq.at(i)]
 		if !s.valid || s.seq >= e.seq {
 			continue
 		}
@@ -267,8 +298,8 @@ func (c *Core) executeLoad(th *thread, e *robEntry, ea uint64) (bool, uint64) {
 	// already holding its own lock, so the owner can always drain to
 	// commit and release.
 	if u.Op == uops.OpLdAcq {
-		for _, idx := range th.ldq {
-			o := &th.rob[idx]
+		for i := 0; i < th.ldq.len(); i++ {
+			o := &th.rob[*th.ldq.at(i)]
 			if o.valid && o.seq < e.seq && o.uop.Op == uops.OpLdAcq && !o.lockHeld {
 				e.earliest = c.now + 1
 				c.cLockReplays.Inc()
@@ -386,16 +417,15 @@ func (c *Core) executeStore(th *thread, e *robEntry, ea, data uint64) bool {
 	// instruction and everything younger (replay trap). Applied at end
 	// of cycle via the redirect list.
 	if c.cfg.LoadHoisting {
-		for _, li := range th.ldq {
-			l := &th.rob[li]
+		for i := 0; i < th.ldq.len(); i++ {
+			l := &th.rob[*th.ldq.at(i)]
 			if !l.valid || l.seq <= e.seq || l.state == stateWaiting || !l.addrValid {
 				continue
 			}
 			if rangesOverlap(ea, uint64(u.MemSize), l.ea, uint64(l.uop.MemSize)) {
 				c.cLoadSpecFlush.Inc()
 				somSeq := c.insnStartSeq(th, l.seq)
-				c.redirects = append(c.redirects, redirect{
-					thread: th.id, afterSeq: somSeq - 1, rip: l.uop.RIP})
+				th.raiseRedirect(somSeq-1, l.uop.RIP)
 				break
 			}
 		}
@@ -445,24 +475,26 @@ func (c *Core) resolveBranch(th *thread, e *robEntry, actual uint64) {
 	}
 	// Recovery (ROB/IQ squash and fetch redirect) is applied at end of
 	// cycle so the issue loop never mutates queues it is scanning.
-	c.redirects = append(c.redirects, redirect{thread: th.id, afterSeq: e.seq, rip: actual})
+	th.raiseRedirect(e.seq, actual)
 }
 
-// applyRedirects performs at most one recovery per thread per cycle:
-// the oldest redirect wins, which necessarily squashes the causes of
-// any younger ones.
+// raiseRedirect asks for a recovery at the end of this cycle. A thread
+// recovers at most once per cycle: the oldest redirect wins (the first
+// raised among equals), which necessarily squashes the causes of any
+// younger ones.
+func (th *thread) raiseRedirect(afterSeq, rip uint64) {
+	if !th.hasRedirect || afterSeq < th.redirect.afterSeq {
+		th.redirect, th.hasRedirect = redirect{afterSeq: afterSeq, rip: rip}, true
+	}
+}
+
+// applyRedirects performs the recoveries raised during the issue stage,
+// in thread order.
 func (c *Core) applyRedirects() {
-	if len(c.redirects) == 0 {
-		return
-	}
-	best := make(map[int]redirect)
-	for _, r := range c.redirects {
-		if cur, ok := best[r.thread]; !ok || r.afterSeq < cur.afterSeq {
-			best[r.thread] = r
+	for _, th := range c.threads {
+		if th.hasRedirect {
+			th.hasRedirect = false
+			c.squashAfter(th.id, th.redirect.afterSeq, th.redirect.rip)
 		}
-	}
-	c.redirects = c.redirects[:0]
-	for t, r := range best {
-		c.squashAfter(t, r.afterSeq, r.rip)
 	}
 }

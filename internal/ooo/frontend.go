@@ -49,8 +49,7 @@ func (c *Core) pageWalk(th *thread, va uint64, acc mem.Access) (mem.WalkResult, 
 func (c *Core) fetch() {
 	budget := c.cfg.FetchWidth
 	for i := 0; i < len(c.threads) && budget > 0; i++ {
-		th := c.threads[(int(c.now)+i)%len(c.threads)]
-		budget = c.fetchThread(th, budget)
+		budget = c.fetchThread(c.rrThread(i), budget)
 	}
 }
 
@@ -62,7 +61,7 @@ func (c *Core) fetchThread(th *thread, budget int) int {
 		return budget
 	}
 	for budget > 0 {
-		if len(th.fetchQ) >= c.cfg.FetchQSize {
+		if th.fetchQ.full() {
 			return budget
 		}
 		if th.curBB == nil {
@@ -74,16 +73,15 @@ func (c *Core) fetchThread(th *thread, budget int) int {
 			}
 		}
 		bb := th.curBB
-		u := bb.Uops[th.bbIdx]
-		f := fetched{uop: u}
-		if c.ev != nil {
-			f.fetchCycle = c.now
-		}
+		// The queue slot is filled in place; every field is set because
+		// the slot still holds the last uop that passed through it.
+		f := th.fetchQ.pushBack()
+		f.uop = bb.Uops[th.bbIdx]
+		f.fetchCycle = c.now // read only when the event log is on
+		budget--
 
-		if u.IsBranch() {
-			f.predTarget, f.predSnapshot, f.rasSnap, f.hasRASSnap = c.predictBranch(th, &u)
-			th.fetchQ = append(th.fetchQ, f)
-			budget--
+		if u := &f.uop; u.IsBranch() {
+			f.predTarget, f.predSnapshot, f.rasSnap, f.hasRASSnap = c.predictBranch(th, u)
 			// A REP entry check predicted not-taken falls through to
 			// the iteration body within the same basic block.
 			if th.bbIdx+1 < len(bb.Uops) && f.predTarget == bb.Uops[th.bbIdx+1].RIP {
@@ -99,8 +97,7 @@ func (c *Core) fetchThread(th *thread, budget int) int {
 			continue
 		}
 
-		th.fetchQ = append(th.fetchQ, f)
-		budget--
+		f.predTarget, f.predSnapshot, f.hasRASSnap = 0, 0, false
 		th.bbIdx++
 		if th.bbIdx >= len(bb.Uops) {
 			th.curBB = nil
@@ -110,18 +107,20 @@ func (c *Core) fetchThread(th *thread, budget int) int {
 	return budget
 }
 
-// predictBranch consults the branch predictors at fetch time.
+// predictBranch consults the branch predictors at fetch time. Calls and
+// returns checkpoint the return address stack first (hasRAS); the
+// checkpoint handle travels with the uop to resolveBranch.
 func (c *Core) predictBranch(th *thread, u *uops.Uop) (target, snapshot uint64, ras bpred.RASSnapshot, hasRAS bool) {
 	next := u.RIP + uint64(u.X86Len)
 	switch u.Branch {
 	case uops.BranchCond:
 		taken, snap := th.pred.PredictDirection(u.RIP)
 		if taken {
-			return u.RIPTaken, snap, bpred.RASSnapshot{}, false
+			return u.RIPTaken, snap, 0, false
 		}
-		return u.RIPNot, snap, bpred.RASSnapshot{}, false
+		return u.RIPNot, snap, 0, false
 	case uops.BranchUncond:
-		return u.RIPTaken, 0, bpred.RASSnapshot{}, false
+		return u.RIPTaken, 0, 0, false
 	case uops.BranchCall:
 		snap := th.pred.RAS().Snapshot()
 		th.pred.RAS().Push(next)
@@ -137,11 +136,11 @@ func (c *Core) predictBranch(th *thread, u *uops.Uop) (target, snapshot uint64, 
 		return th.pred.RAS().Pop(), 0, snap, true
 	case uops.BranchIndirect:
 		if t, ok := th.pred.BTBLookup(u.RIP); ok {
-			return t, 0, bpred.RASSnapshot{}, false
+			return t, 0, 0, false
 		}
-		return next, 0, bpred.RASSnapshot{}, false
+		return next, 0, 0, false
 	}
-	return next, 0, bpred.RASSnapshot{}, false
+	return next, 0, 0, false
 }
 
 // openBB locates (or builds) the basic block at the thread's fetch RIP
@@ -203,64 +202,73 @@ func (c *Core) openBB(th *thread) bool {
 func (c *Core) rename() {
 	budget := c.cfg.RenameWidth
 	for i := 0; i < len(c.threads) && budget > 0; i++ {
-		th := c.threads[(int(c.now)+i)%len(c.threads)]
-		budget = c.renameThread(th, budget)
+		budget = c.renameThread(c.rrThread(i), budget)
 	}
 }
 
 func (c *Core) renameThread(th *thread, budget int) int {
-	for budget > 0 && len(th.fetchQ) > 0 {
+	for budget > 0 && th.fetchQ.len() > 0 {
 		if th.robCount >= len(th.rob) {
 			c.cFetchStallROB.Inc()
 			return budget
 		}
-		f := th.fetchQ[0]
+		f := th.fetchQ.at(0) // read in place; popped once the uop is in the ROB
 		u := &f.uop
 
-		cl := c.pickCluster(u)
+		class := classOf(u)
+		cl := c.pickCluster(class)
 		if cl < 0 {
 			c.cFetchStallIQ.Inc()
 			return budget
 		}
-		if u.IsLoad() && len(th.ldq) >= c.cfg.LDQSize {
+		if u.IsLoad() && th.ldq.full() {
 			return budget
 		}
-		if u.IsStore() && len(th.stq) >= c.cfg.STQSize {
+		if u.IsStore() && th.stq.full() {
 			return budget
 		}
 
 		// Allocate rename resources; roll back on shortage.
-		rd, fl := -1, -1
+		rd, fl := int32(-1), int32(-1)
 		if u.Rd != uops.RegZero {
-			rd = c.allocPhys(0, false)
+			rd = c.allocPhys(0, 0)
 			if rd == -2 {
 				return budget
 			}
 		}
 		if u.SetFlags != 0 {
-			fl = c.allocPhys(0, false)
+			fl = c.allocPhys(0, 0)
 			if fl == -2 {
 				c.freePhys(rd)
 				return budget
 			}
 		}
 
-		th.fetchQ = th.fetchQ[1:]
 		c.seq++
-		slot := (th.robHead + th.robCount) % len(th.rob)
+		slot := th.robSlot(th.robCount)
 		th.robCount++
+		// Fill the slot field by field (no 200-byte temporary). Every
+		// field is assigned: the slot still holds its previous uop.
 		e := &th.rob[slot]
-		*e = robEntry{
-			valid: true, uop: *u, seq: c.seq,
-			rdPhys: rd, rdOld: -1, flPhys: fl, flOld: -1,
-			src:          [3]int{c.srcPhys(th, u.Ra), c.srcPhysB(th, u), c.srcPhys(th, u.Rc)},
-			state:        stateWaiting,
-			cluster:      cl,
-			predTarget:   f.predTarget,
-			predSnapshot: f.predSnapshot,
-			rasSnap:      f.rasSnap,
-			hasRASSnap:   f.hasRASSnap,
-		}
+		e.valid = true
+		e.uop = *u
+		u = &e.uop
+		e.seq = c.seq
+		e.rdPhys, e.rdOld, e.flPhys, e.flOld = rd, -1, fl, -1
+		e.src = [3]int32{th.rat[u.Ra], c.srcPhysB(th, u), th.rat[u.Rc]}
+		e.state, e.class = stateWaiting, class
+		e.readyCycle, e.earliest = 0, 0
+		e.cluster = int32(cl)
+		e.result, e.fault = 0, uops.FaultNone
+		e.ea, e.pa, e.pa2, e.storeData = 0, 0, 0, 0
+		e.addrValid = false
+		e.lockLine, e.lockHeld = 0, false
+		e.predTarget, e.predSnapshot = f.predTarget, f.predSnapshot
+		e.rasSnap, e.hasRASSnap = f.rasSnap, f.hasRASSnap
+		e.mispredicted = false
+		fetchCycle := f.fetchCycle
+		th.fetchQ.popFront()
+
 		if rd >= 0 {
 			e.rdOld = th.rat[u.Rd]
 			th.rat[u.Rd] = rd
@@ -270,22 +278,37 @@ func (c *Core) renameThread(th *thread, budget int) int {
 			th.rat[uops.RegFlags] = fl
 		}
 		if u.IsLoad() {
-			th.ldq = append(th.ldq, slot)
+			*th.ldq.pushBack() = int32(slot)
 		}
 		if u.IsStore() {
-			th.stq = append(th.stq, slot)
+			*th.stq.pushBack() = int32(slot)
 		}
 		if e.isAssist() {
 			// Assists execute at commit; mark complete immediately.
 			e.state = stateDone
 		} else {
-			c.iqs[cl] = append(c.iqs[cl], iqEntry{thread: th.id, rob: slot, seq: e.seq})
+			iq := &c.iqs[cl]
+			iq.ents = append(iq.ents, iqEntry{seq: e.seq, src: e.src,
+				rob: int32(slot), thread: int32(th.id)})
+			// The queue needs a scan for this uop once its sources are
+			// ready: now, or when writeback wakes the waiters of the
+			// last of them.
+			ready := true
+			for _, p := range e.src {
+				if r := &c.prf[p]; r.ready == 0 {
+					r.waiters |= queueBit(cl)
+					ready = false
+				}
+			}
+			if ready {
+				iq.wakeAt = 0
+			}
 		}
 		if c.ev != nil {
 			// The fetch event is emitted retroactively now that the uop
 			// has its sequence number; its cycle is the true fetch cycle.
 			op := uint16(u.Op)
-			c.ev.Record(evlog.Event{Cycle: f.fetchCycle, Seq: e.seq, RIP: u.RIP,
+			c.ev.Record(evlog.Event{Cycle: fetchCycle, Seq: e.seq, RIP: u.RIP,
 				Op: op, Stage: evlog.StageFetch, Core: uint8(c.ID), Thread: uint8(th.id)})
 			c.ev.Record(evlog.Event{Cycle: c.now, Seq: e.seq, RIP: u.RIP,
 				Op: op, Stage: evlog.StageRename, Core: uint8(c.ID), Thread: uint8(th.id)})
@@ -300,33 +323,25 @@ func (c *Core) renameThread(th *thread, budget int) int {
 	return budget
 }
 
-// srcPhys resolves an architectural source to its physical register
-// (-1 for the zero register, which is always ready).
-func (c *Core) srcPhys(th *thread, r uops.ArchReg) int {
-	if r == uops.RegZero {
-		return -1
-	}
-	return th.rat[r]
-}
-
-func (c *Core) srcPhysB(th *thread, u *uops.Uop) int {
+// srcPhysB resolves operand b to a physical register. An absent source
+// (here an immediate, elsewhere RegZero) reads the zero register, which
+// has a rename table entry like any other but is never a destination:
+// its physical register is always ready and holds 0, so the select loop
+// and the operand read need no special case.
+func (c *Core) srcPhysB(th *thread, u *uops.Uop) int32 {
 	if u.BImm {
-		return -1
+		return th.rat[uops.RegZero]
 	}
-	return c.srcPhys(th, u.Rb)
+	return th.rat[u.Rb]
 }
 
-// pickCluster selects the issue queue for a uop: among clusters that
-// can execute its class, the one with the most free entries (PTLsim's
+// pickCluster selects the issue queue for a uop of a class: among
+// clusters that can execute it, the one with the most free entries (PTLsim's
 // load-balancing cluster selection). Returns -1 if all are full.
-func (c *Core) pickCluster(u *uops.Uop) int {
-	cl := classOf(u)
+func (c *Core) pickCluster(class OpClass) int {
 	best, bestFree := -1, 0
-	for i, cc := range c.cfg.Clusters {
-		if !cc.Classes.Has(cl) {
-			continue
-		}
-		free := cc.IQSize - len(c.iqs[i])
+	for _, i := range c.clustersOf[class] {
+		free := cap(c.iqs[i].ents) - len(c.iqs[i].ents)
 		if free > bestFree {
 			best, bestFree = i, free
 		}

@@ -8,17 +8,38 @@ package ooo
 // acquire the lock — the paper's §4.4 semantics, matching Pentium 4
 // hyperthreading behavior.
 type Interlock struct {
-	owners map[uint64]lockOwner // line address -> owner
+	// held lists the locked lines. Only the few locked instructions in
+	// flight hold one at a time, so a linear search beats hashing.
+	held []heldLock
 }
 
-type lockOwner struct {
+type heldLock struct {
+	line         uint64
 	core, thread int
 	seq          uint64 // owning instruction's sequence number
 }
 
+func (l *heldLock) ownedBy(core, thread int, seq uint64) bool {
+	return l.core == core && l.thread == thread && l.seq == seq
+}
+
 // NewInterlock creates an empty controller.
-func NewInterlock() *Interlock {
-	return &Interlock{owners: make(map[uint64]lockOwner)}
+func NewInterlock() *Interlock { return &Interlock{} }
+
+func (il *Interlock) find(line uint64) int {
+	for i := range il.held {
+		if il.held[i].line == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// drop removes entry i (order is irrelevant: lines are unique).
+func (il *Interlock) drop(i int) {
+	last := len(il.held) - 1
+	il.held[i] = il.held[last]
+	il.held = il.held[:last]
 }
 
 // Acquire attempts to lock line for (core, thread, seq). It succeeds if
@@ -27,32 +48,29 @@ func NewInterlock() *Interlock {
 // same thread because each thread holds at most one interlock at a
 // time and locks are acquired at a single uop.
 func (il *Interlock) Acquire(line uint64, core, thread int, seq uint64) bool {
-	if o, held := il.owners[line]; held {
-		return o.core == core && o.thread == thread && o.seq == seq
+	if i := il.find(line); i >= 0 {
+		return il.held[i].ownedBy(core, thread, seq)
 	}
-	il.owners[line] = lockOwner{core: core, thread: thread, seq: seq}
+	il.held = append(il.held, heldLock{line: line, core: core, thread: thread, seq: seq})
 	return true
 }
 
 // Release unlocks line if (core, thread, seq) owns it.
 func (il *Interlock) Release(line uint64, core, thread int, seq uint64) {
-	if o, held := il.owners[line]; held && o.core == core && o.thread == thread && o.seq == seq {
-		delete(il.owners, line)
+	if i := il.find(line); i >= 0 && il.held[i].ownedBy(core, thread, seq) {
+		il.drop(i)
 	}
 }
 
 // ReleaseAllFor releases every lock held by instructions of (core,
 // thread) with sequence >= minSeq — used when squashing.
 func (il *Interlock) ReleaseAllFor(core, thread int, minSeq uint64) {
-	for line, o := range il.owners {
-		if o.core == core && o.thread == thread && o.seq >= minSeq {
-			delete(il.owners, line)
+	for i := len(il.held) - 1; i >= 0; i-- {
+		if l := &il.held[i]; l.core == core && l.thread == thread && l.seq >= minSeq {
+			il.drop(i)
 		}
 	}
 }
 
 // Held reports whether line is locked (for tests).
-func (il *Interlock) Held(line uint64) bool {
-	_, ok := il.owners[line]
-	return ok
-}
+func (il *Interlock) Held(line uint64) bool { return il.find(line) >= 0 }

@@ -1,0 +1,31 @@
+#!/bin/sh
+# Host-time attribution of the out-of-order core loop, by pipeline
+# stage: runs BenchmarkCoreCycle (internal/ooo/bench_test.go) under the
+# CPU and allocation profilers and prints, for each guest, the
+# cumulative share of each stage function of Core.Cycle, then the top
+# allocation sites. No simulator option is involved: this is `go test
+# -bench` plus `go tool pprof`. OOO_PROFILE_RUNS sets the runs per guest
+# (default 3), OOO_PROFILE_DATA the output directory.
+set -eu
+
+runs=${OOO_PROFILE_RUNS:-3}
+out=${OOO_PROFILE_DATA:-ooo-profile-data}
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
+
+stages='ooo\.\(\*Core\)\.(Cycle|commit|writeback|issue|execute|applyRedirects|rename|fetch)$'
+
+for guest in rsync memwalk-like; do
+	echo "== BenchmarkCoreCycle/$guest ($runs runs)"
+	go test ./internal/ooo/ -run '^$' -bench "BenchmarkCoreCycle/$guest\$" \
+		-benchtime "${runs}x" -cpu 1 -o "$out/ooo.test" \
+		-cpuprofile "$out/$guest.cpu.pprof" -memprofile "$out/$guest.mem.pprof" \
+		-memprofilerate 4096 | grep '^Benchmark'
+	echo "-- host time by stage (cum = the stage and everything it calls; execute is part of issue)"
+	go tool pprof -top -cum -show "$stages" "$out/ooo.test" "$out/$guest.cpu.pprof" 2>/dev/null |
+		grep -E 'flat%|ooo\.\(\*Core\)\.'
+	echo "-- allocation sites (bytes allocated over the whole run, boot included)"
+	go tool pprof -sample_index=alloc_space -top -nodecount 8 "$out/ooo.test" "$out/$guest.mem.pprof" 2>/dev/null |
+		sed -n '/flat%/,$p'
+done
+echo "profiles and the test binary are in $out (go tool pprof -list 'Core..issue' $out/ooo.test $out/rsync.cpu.pprof)"
