@@ -50,9 +50,7 @@ func (c *Core) scratch(n int) []uint8 {
 		c.auditScratch = make([]uint8, n)
 	}
 	s := c.auditScratch[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 

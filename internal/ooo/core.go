@@ -676,7 +676,8 @@ func (c *Core) Idle() bool {
 // Cycle advances the core by one clock (the machine scheduler calls
 // each core in round-robin order, paper §2.2). Stage order is reversed
 // (commit first) so same-cycle structural hazards resolve like
-// latched hardware.
+// latched hardware. now must grow from call to call: per-cycle state
+// (L1D bank usage) is stamped with it instead of being cleared.
 func (c *Core) Cycle(now uint64) error {
 	c.now = now
 	// The invariant audit runs before commit so corrupted pipeline state

@@ -77,41 +77,15 @@ func (c *Core) issue() {
 				break
 			}
 			ent := &ents[n]
-			if !c.srcsReady(&ent.src) {
+			switch {
+			case !c.srcsReady(&ent.src):
 				// Waits for a writeback, which wakes the queue.
-			} else if ent.earliest > c.now {
+			case ent.earliest > c.now:
 				wake = min(wake, ent.earliest)
-			} else {
-				th := c.threads[ent.thread]
-				e := &th.rob[ent.rob]
-				if c.execute(th, e, q) {
-					if c.ev != nil {
-						var fl uint8
-						if e.mispredicted {
-							fl |= evlog.FlagMispredict
-						}
-						if e.earliest > 0 {
-							fl |= evlog.FlagReplayed
-						}
-						c.ev.Record(evlog.Event{Cycle: c.now, Seq: e.seq, RIP: e.uop.RIP,
-							Arg: e.ea, Op: uint16(e.uop.Op), Stage: evlog.StageIssue,
-							Flags: fl, Core: uint8(c.ID), Thread: uint8(th.id)})
-					}
-					due := e.readyCycle
-					if due <= c.now {
-						due = c.now + 1 // the next writeback is the first to see it
-					}
-					c.compl.push(completion{due: due, seq: e.seq, thread: ent.thread, slot: ent.rob})
-					issued++
-					continue
-				}
-				// Replay: stays in the queue with a backoff.
-				if c.ev != nil {
-					c.ev.Record(evlog.Event{Cycle: c.now, Seq: e.seq, RIP: e.uop.RIP,
-						Arg: e.ea, Op: uint16(e.uop.Op), Stage: evlog.StageReplay,
-						Flags: evlog.FlagReplayed, Core: uint8(c.ID), Thread: uint8(th.id)})
-				}
-				ent.earliest = e.earliest
+			case c.issueUop(ent, q):
+				issued++
+				continue // leaves the queue
+			default: // replayed: stays, with the backoff execute gave it
 				wake = min(wake, ent.earliest)
 			}
 			if w != n {
@@ -128,6 +102,39 @@ func (c *Core) issue() {
 		}
 		iq.wakeAt = wake
 	}
+}
+
+// issueUop executes the uop of issue queue entry ent (cluster q) and
+// schedules its completion; when it must replay instead it reports
+// false and leaves the new backoff in ent.
+func (c *Core) issueUop(ent *iqEntry, q int) bool {
+	th := c.threads[ent.thread]
+	e := &th.rob[ent.rob]
+	if !c.execute(th, e, q) {
+		if c.ev != nil {
+			c.ev.Record(evlog.Event{Cycle: c.now, Seq: e.seq, RIP: e.uop.RIP,
+				Arg: e.ea, Op: uint16(e.uop.Op), Stage: evlog.StageReplay,
+				Flags: evlog.FlagReplayed, Core: uint8(c.ID), Thread: uint8(th.id)})
+		}
+		ent.earliest = e.earliest
+		return false
+	}
+	if c.ev != nil {
+		var fl uint8
+		if e.mispredicted {
+			fl |= evlog.FlagMispredict
+		}
+		if e.earliest > 0 {
+			fl |= evlog.FlagReplayed
+		}
+		c.ev.Record(evlog.Event{Cycle: c.now, Seq: e.seq, RIP: e.uop.RIP,
+			Arg: e.ea, Op: uint16(e.uop.Op), Stage: evlog.StageIssue,
+			Flags: fl, Core: uint8(c.ID), Thread: uint8(th.id)})
+	}
+	// This cycle's writeback has run: the next one is the first that can
+	// see the uop, also when its latency has already elapsed.
+	c.compl.push(completion{due: max(e.readyCycle, c.now+1), seq: e.seq, thread: ent.thread, slot: ent.rob})
+	return true
 }
 
 // execute runs one uop's computation and schedules its completion. It
