@@ -83,7 +83,6 @@ fuzz-soak:
 # pipeline stages (fetch / rename / issue / execute / writeback /
 # commit) and lists its allocation sites, from BenchmarkCoreCycle under
 # pprof: the per-layer view behind benchmark/'s busy_cycles_per_s.
-# OOO_PROFILE_RUNS/OOO_PROFILE_DATA tune runs per guest and the output
-# directory.
+# Output goes to ooo-profile-data/.
 ooo-profile:
 	./scripts/ooo_profile.sh

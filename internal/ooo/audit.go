@@ -56,8 +56,10 @@ func (c *Core) scratch(n int) []uint8 {
 
 // auditROB checks reorder buffer ordering: the head of a non-empty ROB
 // must be an instruction start (SOM), every occupied slot must be
-// valid, sequence numbers must strictly increase head to tail, and
-// state fields must be within the enum.
+// valid, sequence numbers must strictly increase head to tail, state
+// fields must be within the enum, and the op class cached at rename
+// (it selects the execution latency at issue) must be the uop's, on a
+// cluster that executes it.
 func (c *Core) auditROB(th *thread) error {
 	if th.robCount < 0 || th.robCount > len(th.rob) {
 		return c.invariantErr("thread %d: ROB count %d out of bounds [0,%d]", th.id, th.robCount, len(th.rob))
@@ -80,6 +82,14 @@ func (c *Core) auditROB(th *thread) error {
 		if e.state > stateDone {
 			return c.invariantErr("thread %d: ROB slot %d has undefined state %d (rip %#x)",
 				th.id, i, e.state, e.uop.RIP)
+		}
+		if e.class != classOf(&e.uop) {
+			return c.invariantErr("thread %d: seq %d (op %v) carries cached op class %d, want %d",
+				th.id, e.seq, e.uop.Op, e.class, classOf(&e.uop))
+		}
+		if e.cluster < 0 || int(e.cluster) >= len(c.iqs) || !c.cfg.Clusters[e.cluster].Classes.Has(e.class) {
+			return c.invariantErr("thread %d: seq %d (op class %d) assigned to cluster %d, which does not execute it",
+				th.id, e.seq, e.class, e.cluster)
 		}
 	}
 	return nil

@@ -79,6 +79,20 @@ func benchRuns(b *testing.B, wantConsole string, boot func() (*core.Machine, err
 // 4 MiB region (four times the K8 L2, 1024 pages against a 32-entry
 // DTLB) and then prints "chase ok": the memory-bound shape of the
 // benchmark's memwalk_ooo workload at a third of its length.
+//
+// This is a second copy of the chase phase of benchmark/guests.Memwalk,
+// which the root module cannot import (benchmark/ is a module of its
+// own); the guest builder should move under internal/ with
+// benchmark/guests calling it once a change may touch benchmark/. Until
+// then these must stay equal to memwalk.go for the per-layer numbers to
+// describe memwalk_ooo: region (MemwalkRegion, 4 MiB), line (memwalkLine,
+// 64), the next pointer at offset 0 of each line (offNext) based at
+// kern.UserDataVA, a permutation with a single cycle over all lines
+// (Sattolo's there, a full-period LCG here), one dependent load per
+// loop iteration, DataPages = region/4096 + 1, and TimerPeriod
+// (MemwalkTimerPeriod, 220,000). Different on purpose: steps (3/8 of
+// the lines against MemwalkChaseSteps' 5/8), no per-line sum, no sweep
+// phase.
 func chaseGuest() (kern.BuildSpec, error) {
 	const (
 		region = 4 << 20

@@ -70,7 +70,7 @@ type robEntry struct {
 	mispredicted bool
 }
 
-func (e *robEntry) isMem() bool    { return e.uop.IsLoad() || e.uop.IsStore() }
+func (e *robEntry) isMem() bool   { return e.uop.IsLoad() || e.uop.IsStore() }
 func (e *robEntry) isAssist() bool { return e.uop.Op == uops.OpAssist }
 
 // fetched is a predicted uop waiting in the fetch queue for rename
@@ -81,9 +81,9 @@ type fetched struct {
 	predSnapshot uint64
 	rasSnap      bpred.RASSnapshot
 	hasRASSnap   bool
-	// fetchCycle is set only when the event log is enabled: the fetch
-	// event itself is emitted retroactively at rename, once the uop has
-	// a sequence number to be identified by.
+	// fetchCycle is always stamped at fetch and read only when the
+	// event log is on: the fetch event itself is emitted retroactively
+	// at rename, once the uop has a sequence number to be identified by.
 	fetchCycle uint64
 }
 
@@ -224,15 +224,15 @@ type Core struct {
 	ev *evlog.Log
 
 	// Statistics.
-	cInsns, cUops, cCycles             *stats.Counter
-	cBranches, cMispredicts, cTaken    *stats.Counter
-	cLoads, cStores                    *stats.Counter
-	cDTLBMiss, cITLBMiss, cWalks       *stats.Counter
-	cReplays, cBankReplays, cForwards  *stats.Counter
-	cFlushes, cAssists, cInterrupts    *stats.Counter
-	cLockReplays, cSMC, cLoadSpecFlush *stats.Counter
-	cFetchStallIQ, cFetchStallROB      *stats.Counter
-	cKernelInsns, cUserInsns           *stats.Counter
+	cInsns, cUops, cCycles                  *stats.Counter
+	cBranches, cMispredicts, cTaken        *stats.Counter
+	cLoads, cStores                        *stats.Counter
+	cDTLBMiss, cITLBMiss, cWalks           *stats.Counter
+	cReplays, cBankReplays, cForwards      *stats.Counter
+	cFlushes, cAssists, cInterrupts        *stats.Counter
+	cLockReplays, cSMC, cLoadSpecFlush     *stats.Counter
+	cFetchStallIQ, cFetchStallROB          *stats.Counter
+	cKernelInsns, cUserInsns               *stats.Counter
 }
 
 // New creates a core with the given contexts as its SMT threads.
@@ -254,30 +254,30 @@ func New(id int, cfg Config, ctxs []*vm.Context, sys vm.System, bbc *bbcache.Cac
 		sys:       sys,
 		interlock: NewInterlock(),
 
-		cInsns:         tree.Counter(prefix + ".commit.insns"),
-		cUops:          tree.Counter(prefix + ".commit.uops"),
-		cCycles:        tree.Counter(prefix + ".cycles"),
-		cBranches:      tree.Counter(prefix + ".branches"),
-		cMispredicts:   tree.Counter(prefix + ".mispredicts"),
-		cTaken:         tree.Counter(prefix + ".taken_branches"),
-		cLoads:         tree.Counter(prefix + ".loads"),
-		cStores:        tree.Counter(prefix + ".stores"),
-		cDTLBMiss:      tree.Counter(prefix + ".dtlb.misses"),
-		cITLBMiss:      tree.Counter(prefix + ".itlb.misses"),
-		cWalks:         tree.Counter(prefix + ".pagewalks"),
-		cReplays:       tree.Counter(prefix + ".replays"),
-		cBankReplays:   tree.Counter(prefix + ".bank_replays"),
-		cForwards:      tree.Counter(prefix + ".store_forwards"),
-		cFlushes:       tree.Counter(prefix + ".pipeline_flushes"),
-		cAssists:       tree.Counter(prefix + ".assists"),
-		cInterrupts:    tree.Counter(prefix + ".interrupts"),
-		cLockReplays:   tree.Counter(prefix + ".lock_replays"),
-		cSMC:           tree.Counter(prefix + ".smc_flushes"),
+		cInsns:        tree.Counter(prefix + ".commit.insns"),
+		cUops:         tree.Counter(prefix + ".commit.uops"),
+		cCycles:       tree.Counter(prefix + ".cycles"),
+		cBranches:     tree.Counter(prefix + ".branches"),
+		cMispredicts:  tree.Counter(prefix + ".mispredicts"),
+		cTaken:        tree.Counter(prefix + ".taken_branches"),
+		cLoads:        tree.Counter(prefix + ".loads"),
+		cStores:       tree.Counter(prefix + ".stores"),
+		cDTLBMiss:     tree.Counter(prefix + ".dtlb.misses"),
+		cITLBMiss:     tree.Counter(prefix + ".itlb.misses"),
+		cWalks:        tree.Counter(prefix + ".pagewalks"),
+		cReplays:      tree.Counter(prefix + ".replays"),
+		cBankReplays:  tree.Counter(prefix + ".bank_replays"),
+		cForwards:     tree.Counter(prefix + ".store_forwards"),
+		cFlushes:      tree.Counter(prefix + ".pipeline_flushes"),
+		cAssists:      tree.Counter(prefix + ".assists"),
+		cInterrupts:   tree.Counter(prefix + ".interrupts"),
+		cLockReplays:  tree.Counter(prefix + ".lock_replays"),
+		cSMC:          tree.Counter(prefix + ".smc_flushes"),
 		cLoadSpecFlush: tree.Counter(prefix + ".load_spec_flushes"),
-		cFetchStallIQ:  tree.Counter(prefix + ".stall.iq_full"),
+		cFetchStallIQ: tree.Counter(prefix + ".stall.iq_full"),
 		cFetchStallROB: tree.Counter(prefix + ".stall.rob_full"),
-		cKernelInsns:   tree.Counter(prefix + ".commit.kernel_insns"),
-		cUserInsns:     tree.Counter(prefix + ".commit.user_insns"),
+		cKernelInsns:  tree.Counter(prefix + ".commit.kernel_insns"),
+		cUserInsns:    tree.Counter(prefix + ".commit.user_insns"),
 	}
 	for i := range c.prf {
 		c.free = append(c.free, int32(len(c.prf)-1-i))

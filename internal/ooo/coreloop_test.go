@@ -263,11 +263,28 @@ func TestAuditCatchesCorruptedLoopState(t *testing.T) {
 			q, _, _, _ := waitingOn(c)
 			c.iqs[q].ents = c.iqs[q].ents[:len(c.iqs[q].ents)-1]
 		}, "scheduled in 0, want 1"},
+		{"cached op class", func(c *Core) {
+			e := c.threads[0].robAt(0)
+			e.class = (e.class + 1) % NumClasses
+		}, "cached op class"},
+		{"cluster that does not execute the class", func(c *Core) {
+			e := c.threads[0].robAt(0)
+			for q, cl := range c.cfg.Clusters {
+				if !cl.Classes.Has(e.class) {
+					e.cluster = int32(q)
+				}
+			}
+		}, "does not execute it"},
 		{"iq entry in the wrong cluster", func(c *Core) {
 			q, i, _, _ := waitingOn(c)
-			e := c.iqs[q].ents[i]
-			c.threads[e.thread].rob[e.rob].cluster++
-		}, "cluster"},
+			ent := c.iqs[q].ents[i]
+			e := &c.threads[ent.thread].rob[ent.rob]
+			for _, other := range c.clustersOf[e.class] {
+				if other != q {
+					e.cluster = int32(other)
+				}
+			}
+		}, "is in state"},
 		{"lost wakeup", func(c *Core) {
 			_, _, p, _ := waitingOn(c)
 			c.prf[p].waiters = 0

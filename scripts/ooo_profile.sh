@@ -4,12 +4,12 @@
 # CPU and allocation profilers and prints, for each guest, the
 # cumulative share of each stage function of Core.Cycle, then the top
 # allocation sites. No simulator option is involved: this is `go test
-# -bench` plus `go tool pprof`. OOO_PROFILE_RUNS sets the runs per guest
-# (default 3), OOO_PROFILE_DATA the output directory.
+# -bench` plus `go tool pprof`, three runs per guest, output in
+# ooo-profile-data/ (git-ignored).
 set -eu
 
-runs=${OOO_PROFILE_RUNS:-3}
-out=${OOO_PROFILE_DATA:-ooo-profile-data}
+runs=3
+out=ooo-profile-data
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
 
