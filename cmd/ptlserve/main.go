@@ -45,7 +45,6 @@ func main() {
 		restarts   = flag.Int("restarts", 2, "default worker-respawn budget per job")
 		brkThresh  = flag.Int("breaker-threshold", 3, "consecutive non-retryable failures that open a config's circuit breaker")
 		brkCool    = flag.Duration("breaker-cooldown", time.Minute, "how long an open breaker rejects a config before re-probing")
-		retryAfter = flag.Duration("retry-after", 2*time.Second, "Retry-After hint on queue-full 429 responses until drain latency is measured")
 		compactN   = flag.Int("compact-every", 256, "compact the durable job store after this many log records")
 		tenQueued  = flag.Int("tenant-queued", 0, "default per-tenant queued-job quota (0 = unlimited; past it: HTTP 429)")
 		tenRunning = flag.Int("tenant-running", 0, "default per-tenant running-job cap (0 = unlimited)")
@@ -95,7 +94,6 @@ func main() {
 		Restarts:         *restarts,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCool,
-		RetryAfter:       *retryAfter,
 		CompactEvery:     *compactN,
 		TenantMaxQueued:  *tenQueued,
 		TenantMaxRunning: *tenRunning,

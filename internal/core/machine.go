@@ -551,7 +551,7 @@ func (m *Machine) RunUntilInsnsCtx(ctx context.Context, target int64, maxCycles 
 			}
 		}
 		if maxCycles > 0 && m.Cycle-start >= maxCycles {
-			return m.budgetErr(fmt.Sprintf(
+			return m.BudgetErr(fmt.Sprintf(
 				"RunUntilInsns(%d): cycle budget %d exhausted at %d insns", target, maxCycles, m.Insns()))
 		}
 		if err := m.Step(); err != nil {
@@ -607,7 +607,7 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles uint64) (err error) {
 			}
 		}
 		if maxCycles > 0 && m.Cycle >= maxCycles {
-			return m.budgetErr(fmt.Sprintf("cycle budget %d exhausted", maxCycles))
+			return m.BudgetErr(fmt.Sprintf("cycle budget %d exhausted", maxCycles))
 		}
 		if err := m.Step(); err != nil {
 			return err
@@ -656,8 +656,10 @@ func (m *Machine) postStep() {
 	}
 }
 
-// budgetErr builds the structured error for an exhausted cycle budget.
-func (m *Machine) budgetErr(msg string) error {
+// BudgetErr builds the structured error for an exhausted cycle budget
+// (exported for the run loops layered on Machine: checkpointing,
+// sampling).
+func (m *Machine) BudgetErr(msg string) error {
 	ctx := m.Dom.VCPUs[0]
 	return &simerr.SimError{
 		Kind:    simerr.KindCycleBudget,

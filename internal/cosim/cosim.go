@@ -13,7 +13,6 @@ import (
 
 	"ptlsim/internal/core"
 	"ptlsim/internal/hv"
-	"ptlsim/internal/simerr"
 	"ptlsim/internal/snapshot"
 	"ptlsim/internal/stats"
 	"ptlsim/internal/vm"
@@ -39,12 +38,7 @@ func RunSampled(m *core.Machine, cfg SampleConfig, maxCycles uint64) error {
 		var left uint64
 		if maxCycles > 0 {
 			if m.Cycle >= maxCycles {
-				vctx := m.Dom.VCPUs[0]
-				return &simerr.SimError{
-					Kind: simerr.KindCycleBudget, Cycle: m.Cycle,
-					VCPU: vctx.ID, RIP: vctx.RIP,
-					Message: fmt.Sprintf("cycle budget %d exhausted during sampling", maxCycles),
-				}
+				return m.BudgetErr(fmt.Sprintf("cycle budget %d exhausted during sampling", maxCycles))
 			}
 			left = maxCycles - m.Cycle
 		}

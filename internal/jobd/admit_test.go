@@ -266,7 +266,6 @@ func TestRetryAfterWarmAfterRestart(t *testing.T) {
 		PollInterval:     10 * time.Millisecond,
 		HeartbeatTimeout: 30 * time.Second,
 		Deadline:         5 * time.Minute,
-		RetryAfter:       2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

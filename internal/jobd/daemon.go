@@ -2,7 +2,6 @@ package jobd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -64,12 +63,6 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// RetryAfter is the backpressure floor returned with HTTP 429 when
-	// no job latency has been measured yet (default 2s). Once jobs
-	// complete, Retry-After reflects the measured queue drain rate
-	// (p50 job latency × queue position).
-	RetryAfter time.Duration
-
 	// Per-tenant admission defaults. TenantMaxQueued caps how much of
 	// the bounded queue one tenant may hold (0 = no per-tenant cap —
 	// the global QueueDepth still bounds); TenantMaxRunning caps a
@@ -87,10 +80,17 @@ type Config struct {
 	// Journal receives the service's JSONL job journal (nil = none),
 	// in the supervisor entry format ptlmon -journal renders.
 	Journal io.Writer
-
-	// HeartbeatMs is the worker's heartbeat cadence (default 250).
-	HeartbeatMs int64
 }
+
+const (
+	// coldRetryAfter is the Retry-After hint for a 429 sent before any
+	// job has completed; after that the hint is the measured queue drain
+	// rate (p50 job latency × queue position).
+	coldRetryAfter = 2 * time.Second
+	// heartbeatMs is the worker's heartbeat cadence, stamped into every
+	// spec the daemon hands a worker.
+	heartbeatMs = 250
+)
 
 func (cfg *Config) applyDefaults() {
 	if cfg.QueueDepth <= 0 {
@@ -120,14 +120,8 @@ func (cfg *Config) applyDefaults() {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = time.Minute
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 2 * time.Second
-	}
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 256
-	}
-	if cfg.HeartbeatMs <= 0 {
-		cfg.HeartbeatMs = 250
 	}
 }
 
@@ -150,28 +144,22 @@ var (
 	ErrDeadlineShed = errors.New("jobd: estimated queue wait exceeds client deadline")
 )
 
-// job is the daemon-side job record; mu guards the mutable status.
+// job is the daemon's runtime handle on one job it has to run: what it
+// needs to schedule, budget and stop the job's workers. It is immutable
+// once queued and holds none of the job's lifecycle state — that lives
+// in the store's JobState and nowhere else.
 type job struct {
-	mu   sync.Mutex
-	st   Status
+	id   string
 	spec Spec // resolved spec (daemon defaults applied), what the worker sees
 
-	key       uint64 // breaker config key
-	probe     bool   // admitted as the breaker's half-open probe
-	seq       uint64 // admission order within the admit queue (FIFO tiebreak)
-	submitted time.Time
-	started   time.Time
-	deadline  time.Duration
-	memLimit  int64 // bytes, 0 = unlimited
-	restarts  int
+	key      uint64 // breaker config key
+	probe    bool   // admitted as the breaker's half-open probe
+	seq      uint64 // admission order within the admit queue (FIFO tiebreak)
+	deadline time.Duration
+	memLimit int64 // bytes, 0 = unlimited
+	restarts int
 
-	cancel chan struct{} // closed to force-stop the job's workers
-}
-
-func (j *job) status() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.st
+	cancel chan struct{} // closed (by signalWorkers) to force-stop the job's workers
 }
 
 // orphan identifies a worker process a previous daemon incarnation
@@ -230,9 +218,8 @@ type Daemon struct {
 	queue *admitQueue
 
 	mu        sync.Mutex
-	jobs      map[string]*job
-	order     []string
-	resume    []resumeInfo // recovered running jobs, launched by Start
+	jobs      map[string]*job // jobs admitted or recovered unfinished by this incarnation
+	resume    []resumeInfo    // recovered running jobs, launched by Start
 	draining  bool
 	nextID    int
 	cellEpoch map[string]int64 // campaign cell → highest accepted lease epoch
@@ -296,10 +283,10 @@ func (d *Daemon) registerGauges() {
 	d.admitLat = d.metrics.Histogram("jobd.admission.latency_ms",
 		[]float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000})
 	d.metrics.GaugeFunc("jobd.jobs.queued", func() float64 {
-		return float64(d.stateCount(StateQueued))
+		return float64(d.store.phaseCount(StateQueued))
 	})
 	d.metrics.GaugeFunc("jobd.jobs.running", func() float64 {
-		return float64(d.stateCount(StateRunning))
+		return float64(d.store.phaseCount(StateRunning))
 	})
 	d.metrics.GaugeFunc("jobd.breaker.open", func() float64 {
 		return float64(d.breaker.OpenCount())
@@ -307,21 +294,6 @@ func (d *Daemon) registerGauges() {
 	d.metrics.GaugeFunc("jobd.store.compactions", func() float64 {
 		return float64(d.store.Compactions())
 	})
-}
-
-// stateCount counts tracked jobs currently in one lifecycle state.
-func (d *Daemon) stateCount(st State) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for _, j := range d.jobs {
-		j.mu.Lock()
-		if j.st.State == st {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
 }
 
 // Metrics exposes the daemon's registry so the HTTP layer can serve
@@ -346,7 +318,7 @@ func (d *Daemon) Start() {
 				if !ok {
 					return
 				}
-				d.runJob(j)
+				d.runJob(j, nil)
 			}
 		}()
 	}
@@ -358,7 +330,7 @@ func (d *Daemon) Start() {
 		d.wg.Add(1)
 		go func(ri resumeInfo) {
 			defer d.wg.Done()
-			d.resumeJob(ri.j, ri.o)
+			d.runJob(ri.j, &ri.o)
 		}(ri)
 	}
 }
@@ -404,12 +376,11 @@ func (d *Daemon) latencyP50() int64 {
 // measured queue drain rate — the p50 completed-job latency times the
 // rejected client's expected queue position — so clients back off
 // realistically during recovery storms instead of hammering a constant
-// cadence. Before any job completes it falls back to the configured
-// constant.
+// cadence. Before any job completes it falls back to coldRetryAfter.
 func (d *Daemon) RetryAfter() time.Duration {
 	p50 := d.latencyP50()
 	if p50 <= 0 {
-		return d.cfg.RetryAfter
+		return coldRetryAfter
 	}
 	// The pool drains Workers jobs per p50 on average; a queue-full
 	// client needs at least one full drain cycle plus its share of the
@@ -425,7 +396,7 @@ func (d *Daemon) RetryAfter() time.Duration {
 func (d *Daemon) RetryAfterTenant(tenant string) time.Duration {
 	p50 := d.latencyP50()
 	if p50 <= 0 {
-		return d.cfg.RetryAfter
+		return coldRetryAfter
 	}
 	tq, tr := d.queue.tenantLoad(tenant)
 	return clampRetry(time.Duration(int64(tq+tr)/int64(d.cfg.Workers)+1) *
@@ -464,8 +435,9 @@ func (d *Daemon) Accepting() bool {
 // resolveJob applies daemon defaults to a validated spec, producing
 // the runtime job record. Shared by admission and store recovery so a
 // recovered job runs under exactly the knobs it was admitted with.
-func (d *Daemon) resolveJob(spec Spec) *job {
+func (d *Daemon) resolveJob(id string, spec Spec) *job {
 	j := &job{
+		id:       id,
 		spec:     spec,
 		key:      spec.ConfigKey(),
 		deadline: d.cfg.Deadline,
@@ -493,7 +465,7 @@ func (d *Daemon) resolveJob(spec Spec) *job {
 	case spec.Restarts < 0:
 		j.restarts = 0
 	}
-	j.spec.HeartbeatMs = d.cfg.HeartbeatMs
+	j.spec.HeartbeatMs = heartbeatMs
 	return j
 }
 
@@ -532,11 +504,10 @@ func (d *Daemon) SubmitKey(spec Spec, idemKey string) (Status, bool, error) {
 	d.mu.Lock()
 	if idemKey != "" {
 		if id, ok := d.store.IdemLookup(idemKey); ok {
-			if dup := d.jobs[id]; dup != nil {
-				d.mu.Unlock()
-				d.count("jobd.jobs.deduped")
-				return dup.status(), true, nil
-			}
+			d.mu.Unlock()
+			d.count("jobd.jobs.deduped")
+			st, _ := d.store.status(id)
+			return st, true, nil
 		}
 	}
 	if d.draining {
@@ -607,47 +578,58 @@ func (d *Daemon) SubmitKey(spec Spec, idemKey string) (Status, bool, error) {
 	}
 
 	d.nextID++
-	id := fmt.Sprintf("%04d", d.nextID)
-	now := time.Now()
-	j := d.resolveJob(spec)
+	j := d.resolveJob(fmt.Sprintf("%04d", d.nextID), spec)
 	j.probe = probe
-	j.submitted = now
-	j.st = Status{ID: id, State: StateQueued, Spec: j.spec,
-		SubmittedAt: rfc3339(now), Dir: filepath.Join(d.cfg.Dir, "jobs", id)}
 
 	// WAL discipline: the accept record is durable before the job is
 	// visible anywhere — a crash after this line recovers the job, a
 	// crash before it never admitted the job.
-	if _, err := d.store.Append(Record{Op: opAccept, Job: id,
-		IdemKey: idemKey, Spec: &j.spec}); err != nil {
+	st, err := d.commit(Record{Op: opAccept, Job: j.id, IdemKey: idemKey, Spec: &j.spec})
+	if err != nil {
 		d.nextID--
 		d.mu.Unlock()
 		d.count("jobd.rejected.store_error")
 		return Status{}, false, fmt.Errorf("jobd: persisting accept: %w", err)
 	}
 	d.queue.push(j)
-	d.jobs[id] = j
-	d.order = append(d.order, id)
+	d.jobs[j.id] = j
 	if ck := spec.CellKey(); ck != "" && spec.Epoch > d.cellEpoch[ck] {
 		d.cellEpoch[ck] = spec.Epoch
 	}
 	d.mu.Unlock()
 
 	d.count("jobd.jobs.submitted")
-	d.journal.Append(supervisor.Entry{Event: supervisor.EventJobSubmit, Job: id,
-		Tenant: tenant, Started: rfc3339(now), Message: fmt.Sprintf("config %#x", key)})
-	return j.status(), false, nil
+	d.journal.Append(supervisor.Entry{Event: supervisor.EventJobSubmit, Job: j.id,
+		Tenant: tenant, Started: st.SubmittedAt, Message: fmt.Sprintf("config %#x", key)})
+	return st, false, nil
+}
+
+// commit makes one lifecycle transition, which is exactly one record
+// appended to the store: the transition happens, and becomes visible to
+// every reader, when the append returns. It answers with the job's
+// status as of that record. A failed append means the transition did
+// not happen — it is counted and journalled, and the job stays in its
+// last durable phase, which is also where a restarted daemon would pick
+// it up (from result.json / failure.json if the worker got that far).
+func (d *Daemon) commit(rec Record) (Status, error) {
+	id, op := rec.Job, rec.Op
+	rec, err := d.store.Append(rec)
+	if err != nil {
+		d.count("jobd.store.append_errors")
+		d.journal.Append(supervisor.Entry{Event: supervisor.EventFailure, Job: id,
+			Kind: "store", Message: fmt.Sprintf("%s record: %v", op, err)})
+		if rec.Seq == 0 {
+			return Status{}, err
+		}
+		// Durable and applied; only the compaction after it failed.
+	}
+	st, _ := d.store.status(id)
+	return st, nil
 }
 
 // Job returns one job's status.
 func (d *Daemon) Job(id string) (Status, bool) {
-	d.mu.Lock()
-	j, ok := d.jobs[id]
-	d.mu.Unlock()
-	if !ok {
-		return Status{}, false
-	}
-	return j.status(), true
+	return d.store.status(id)
 }
 
 // Jobs returns every job's status in submission order.
@@ -661,25 +643,7 @@ func (d *Daemon) Jobs() []Status {
 // phase+limit the response is O(limit), not O(every job the daemon has
 // ever run).
 func (d *Daemon) JobsFiltered(phase State, limit int) []Status {
-	d.mu.Lock()
-	ids := append([]string(nil), d.order...)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, d.jobs[id])
-	}
-	d.mu.Unlock()
-	out := make([]Status, 0, len(jobs))
-	for _, j := range jobs {
-		st := j.status()
-		if phase != "" && st.State != phase {
-			continue
-		}
-		out = append(out, st)
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out
+	return d.store.statuses(phase, limit)
 }
 
 // Drain gracefully shuts the daemon down: new submissions are rejected
@@ -727,21 +691,18 @@ func (d *Daemon) Drain(ctx context.Context) error {
 }
 
 // signalWorkers delivers sig to every live worker process and marks
-// the jobs cancelled so runJob stops respawning.
+// the jobs cancelled so runJob stops respawning. It is the only closer
+// of a cancel channel, serialized by mu.
 func (d *Daemon) signalWorkers(sig syscall.Signal) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, j := range d.jobs {
-		j.mu.Lock()
-		select {
-		case <-j.cancel:
-		default:
+	for id, j := range d.jobs {
+		if !isClosed(j.cancel) {
 			close(j.cancel)
 		}
-		if j.st.PID > 0 {
-			syscall.Kill(j.st.PID, sig)
+		if st, _ := d.store.status(id); st.PID > 0 {
+			syscall.Kill(st.PID, sig)
 		}
-		j.mu.Unlock()
 	}
 }
 
@@ -749,103 +710,60 @@ func (d *Daemon) count(path string) {
 	d.metrics.Counter(path).Inc()
 }
 
-// runJob owns one freshly queued job end to end: spawn a worker,
-// monitor it, classify its death, and respawn from the rotated
-// checkpoint directory while the classification is retryable and the
-// respawn budget lasts.
-func (d *Daemon) runJob(j *job) {
-	jobDir := filepath.Join(d.cfg.Dir, "jobs", j.st.ID)
-	if !d.prepareJobDir(j, jobDir) {
-		return
-	}
-	j.mu.Lock()
-	j.started = time.Now()
-	j.st.State = StateRunning
-	j.st.StartedAt = rfc3339(j.started)
-	j.st.QueueWaitMs = j.started.Sub(j.submitted).Milliseconds()
-	j.mu.Unlock()
-	d.count("jobd.jobs.started")
-	d.runAttempts(j, jobDir, 1, nil)
-}
-
-// resumeJob owns one recovered running job: adopt its still-alive
-// orphan worker, or classify the dead one and respawn from the rotated
-// checkpoints.
-func (d *Daemon) resumeJob(j *job, o orphan) {
-	jobDir := filepath.Join(d.cfg.Dir, "jobs", j.st.ID)
-	if !d.prepareJobDir(j, jobDir) {
-		return
-	}
-	d.runAttempts(j, jobDir, o.attempt, &o)
-}
-
-// prepareJobDir makes the job directory and (re)writes the spec file;
-// a false return means the job was failed terminally.
-func (d *Daemon) prepareJobDir(j *job, jobDir string) bool {
+// runJob owns one job until it is terminal: spawn a worker, monitor
+// it, classify its death, and respawn from the rotated checkpoint
+// directory while the classification is retryable and the respawn
+// budget lasts. orph, when non-nil, is a recovered running job's
+// recorded worker: the first iteration adopts or buries it instead of
+// spawning a fresh one.
+func (d *Daemon) runJob(j *job, orph *orphan) {
+	jobDir := filepath.Join(d.cfg.Dir, "jobs", j.id)
 	if err := os.MkdirAll(jobDir, 0o755); err != nil {
 		d.failJob(j, "error", fmt.Sprintf("job dir: %v", err), false)
-		return false
+		return
 	}
 	if err := writeJSON(filepath.Join(jobDir, specFile), &j.spec); err != nil {
 		d.failJob(j, "error", fmt.Sprintf("spec: %v", err), false)
-		return false
+		return
 	}
-	return true
-}
-
-// runAttempts is the shared attempt loop. first is the attempt number
-// to begin at; orph, when non-nil, makes the first iteration supervise
-// the recovered orphan worker instead of spawning a fresh one.
-func (d *Daemon) runAttempts(j *job, jobDir string, first int, orph *orphan) {
-	id := j.st.ID
-	for attempt := first; ; attempt++ {
-		j.mu.Lock()
-		j.st.Attempts = attempt
-		cancelled := isClosed(j.cancel)
-		j.mu.Unlock()
-		if cancelled {
+	attempt := 1
+	if orph != nil {
+		attempt = orph.attempt
+	} else {
+		d.count("jobd.jobs.started")
+	}
+	for ; ; attempt++ {
+		if isClosed(j.cancel) {
 			d.failJob(j, "interrupted", "daemon stopping", false)
 			return
 		}
 
-		var fail Failure
+		var res *Result
 		var err error
 		if orph != nil {
-			err = d.superviseOrphan(j, jobDir, *orph)
+			res, err = d.superviseOrphan(j, jobDir, *orph)
 			orph = nil
 		} else {
-			err = d.superviseWorker(j, jobDir, attempt)
+			res, err = d.superviseWorker(j, jobDir, attempt)
 		}
-		switch {
-		case err == nil:
-			res, rerr := readResult(filepath.Join(jobDir, resultFile))
-			if rerr == nil {
-				d.completeJob(j, res)
-				return
-			}
-			fail = Failure{Kind: string(simerr.KindPanic), Retryable: true,
-				Message: fmt.Sprintf("worker exited 0 but result unreadable: %v", rerr)}
-		default:
-			var ok bool
-			if fail, ok = errFailure(err); !ok {
-				d.failJob(j, "error", err.Error(), false)
-				return
-			}
+		if err == nil {
+			d.completeJob(j, res)
+			return
+		}
+		var fail *Failure
+		if !errors.As(err, &fail) {
+			d.failJob(j, "error", err.Error(), false)
+			return
 		}
 
 		d.count("jobd.workers.exit." + fail.Kind)
-		d.journal.Append(supervisor.Entry{Event: supervisor.EventWorkerExit, Job: id,
+		d.commit(Record{Op: opExit, Job: j.id, Attempt: attempt,
+			Kind: fail.Kind, Message: fail.Message})
+		d.journal.Append(supervisor.Entry{Event: supervisor.EventWorkerExit, Job: j.id,
 			Attempt: attempt, Kind: fail.Kind, Message: fail.Message,
 			Retryable: fail.Retryable, Cycle: fail.Cycle, RIP: fail.RIP})
-		d.store.Append(Record{Op: opExit, Job: id, Attempt: attempt,
-			Kind: fail.Kind, Message: fail.Message})
 
-		j.mu.Lock()
-		j.st.Kind = fail.Kind
-		j.st.Error = fail.Message
-		retry := fail.Retryable && attempt <= j.restarts && !isClosed(j.cancel)
-		j.mu.Unlock()
-		if !retry {
+		if !fail.Retryable || attempt > j.restarts || isClosed(j.cancel) {
 			// Interrupted jobs (daemon drain) say nothing about the
 			// workload's health — they never count toward the breaker.
 			d.failJob(j, fail.Kind, fail.Message,
@@ -853,7 +771,7 @@ func (d *Daemon) runAttempts(j *job, jobDir string, first int, orph *orphan) {
 			return
 		}
 		d.count("jobd.jobs.retried")
-		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobRetry, Job: id,
+		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobRetry, Job: j.id,
 			Attempt: attempt, Message: "respawning from rotated checkpoints"})
 	}
 }
@@ -865,33 +783,19 @@ type killReason struct {
 	message string
 }
 
-// errFailureWrap carries a Failure through the error return of
-// superviseWorker.
-type errFailureWrap struct{ f Failure }
-
-func (e *errFailureWrap) Error() string { return e.f.Kind + ": " + e.f.Message }
-
-func errFailure(err error) (Failure, bool) {
-	var w *errFailureWrap
-	if errors.As(err, &w) {
-		return w.f, true
-	}
-	return Failure{}, false
-}
-
 // superviseWorker spawns one worker subprocess for the job and watches
 // it until exit: waitpid for death, the heartbeat file for wedging,
-// the wall clock for the deadline, and RSS for the memory budget. A
-// nil return means the worker exited 0; otherwise the error wraps the
-// classified Failure (errFailure extracts it).
-func (d *Daemon) superviseWorker(j *job, jobDir string, attempt int) error {
+// the wall clock for the deadline, and RSS for the memory budget. It
+// returns the worker's result, or an error that is the classified
+// *Failure unless the worker could not be spawned at all.
+func (d *Daemon) superviseWorker(j *job, jobDir string, attempt int) (*Result, error) {
 	// Stale verdicts from the previous attempt must not be re-read.
 	os.Remove(filepath.Join(jobDir, resultFile))
 	os.Remove(filepath.Join(jobDir, failureFile))
 
 	cmd := d.cfg.WorkerCommand(jobDir)
 	if cmd == nil {
-		return fmt.Errorf("jobd: WorkerCommand returned nil")
+		return nil, fmt.Errorf("jobd: WorkerCommand returned nil")
 	}
 	cmd.Env = append(os.Environ(), cmd.Env...)
 	if j.memLimit > 0 {
@@ -911,22 +815,19 @@ func (d *Daemon) superviseWorker(j *job, jobDir string, attempt int) error {
 	}
 	start := time.Now()
 	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("jobd: spawning worker: %w", err)
+		return nil, fmt.Errorf("jobd: spawning worker: %w", err)
 	}
 	pid := cmd.Process.Pid
 	// The worker's start time makes the (pid, start) pair a pid-reuse
 	// guard: a future daemon incarnation adopts the orphan only when
 	// both still match.
 	pidStart, _ := procStartTime(pid)
-	j.mu.Lock()
-	j.st.PID = pid
-	queueWait := j.st.QueueWaitMs
-	j.mu.Unlock()
-	d.journal.Append(supervisor.Entry{Event: supervisor.EventJobStart, Job: j.st.ID,
-		Attempt: attempt, PID: pid, Started: rfc3339(start),
-		Tenant: tenantName(j.spec.Tenant), QueueWaitMs: queueWait})
-	d.store.Append(Record{Op: opStart, Job: j.st.ID, Attempt: attempt,
-		PID: pid, PIDStart: pidStart})
+	if st, err := d.commit(Record{Op: opStart, Job: j.id, Attempt: attempt,
+		PID: pid, PIDStart: pidStart}); err == nil {
+		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobStart, Job: j.id,
+			Attempt: attempt, PID: pid, Started: start.UTC().Format(time.RFC3339Nano),
+			Tenant: tenantName(j.spec.Tenant), QueueWaitMs: st.QueueWaitMs})
+	}
 
 	waitDone := make(chan error, 1)
 	go func() { waitDone <- cmd.Wait() }()
@@ -978,9 +879,6 @@ monitor:
 			}
 		}
 	}
-	j.mu.Lock()
-	j.st.PID = 0
-	j.mu.Unlock()
 	return waitErr, reason
 }
 
@@ -1023,162 +921,118 @@ func (d *Daemon) checkWorkerBudgets(j *job, jobDir string, pid int, start time.T
 //   - pid dead, or start time unreadable (no procfs): treat the
 //     worker as dead.
 //
-// A dead worker is classified by what it left in the job directory —
-// result.json (success), failure.json (its own classification), or
-// nothing (panic, retryable) — and the caller respawns from the
-// rotated checkpoints when retryable.
-func (d *Daemon) superviseOrphan(j *job, jobDir string, o orphan) error {
-	if sameProcess(o.pid, o.pidStart) {
-		j.mu.Lock()
-		j.st.PID = o.pid
-		j.st.Adopted = true
-		j.mu.Unlock()
-		d.count("jobd.jobs.adopted")
-		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobAdopt, Job: j.st.ID,
-			Attempt: o.attempt, PID: o.pid,
-			Message: "orphan worker adopted after daemon restart"})
-		d.store.Append(Record{Op: opAdopt, Job: j.st.ID, Attempt: o.attempt,
-			PID: o.pid, PIDStart: o.pidStart})
-
-		start := o.started
-		if start.IsZero() {
-			start = time.Now()
-		}
-		_, reason := d.monitorWorker(j, jobDir, workerProc{pid: o.pid, pidStart: o.pidStart, start: start})
-		if reason != nil {
-			return d.classifyExit(j, jobDir, errors.New("killed by monitor"), reason)
-		}
-	} else {
+// A dead worker is classified by classifyExit, from what it left in the
+// job directory, and the caller respawns from the rotated checkpoints
+// when that is retryable. An orphan is not our child, so there is no
+// exit status: the error handed to classifyExit only says when it died.
+func (d *Daemon) superviseOrphan(j *job, jobDir string, o orphan) (*Result, error) {
+	if !sameProcess(o.pid, o.pidStart) {
 		d.count("jobd.jobs.reaped")
-		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobRetry, Job: j.st.ID,
+		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobRetry, Job: j.id,
 			Attempt: o.attempt, PID: o.pid,
 			Message: "recorded worker dead or pid reused; resuming from rotated checkpoints"})
+		return d.classifyExit(j, jobDir, errors.New("while the daemon was down"), nil)
 	}
-
-	// The worker is gone (or never survived the daemon): classify by
-	// its verdict files.
-	if _, err := os.Stat(filepath.Join(jobDir, resultFile)); err == nil {
-		return nil // finished while the daemon was down
+	d.count("jobd.jobs.adopted")
+	if _, err := d.commit(Record{Op: opAdopt, Job: j.id, Attempt: o.attempt,
+		PID: o.pid, PIDStart: o.pidStart}); err == nil {
+		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobAdopt, Job: j.id,
+			Attempt: o.attempt, PID: o.pid,
+			Message: "orphan worker adopted after daemon restart"})
 	}
-	if f, err := readFailure(filepath.Join(jobDir, failureFile)); err == nil {
-		return &errFailureWrap{*f}
+	start := o.started
+	if start.IsZero() {
+		start = time.Now()
 	}
-	return &errFailureWrap{Failure{Kind: string(simerr.KindPanic), Retryable: true,
-		Message: "worker died while the daemon was down"}}
+	_, reason := d.monitorWorker(j, jobDir, workerProc{pid: o.pid, pidStart: o.pidStart, start: start})
+	return d.classifyExit(j, jobDir, errors.New("after adoption"), reason)
 }
 
-// classifyExit turns a worker's death into the simerr taxonomy:
+// classifyExit turns a worker's end into its result or a *Failure in
+// the simerr taxonomy:
 //
-//   - exit 0: success (the caller reads result.json)
-//   - killed by the monitor: the monitor's reason (timeout/resource)
-//   - structured exit (failure.json): the worker's own classification
-//   - any other death — external SIGKILL, OOM kill, panic without a
-//     report, unknown exit code: KindPanic, retryable, because the
-//     rotated checkpoints make a resume both safe and cheap.
-func (d *Daemon) classifyExit(j *job, jobDir string, waitErr error, reason *killReason) error {
-	if waitErr == nil {
-		// Exited 0 — even if a kill raced the exit, the worker finished
-		// its work and wrote its result.
-		return nil
-	}
-	if reason != nil {
+//   - killed by the monitor (and not exited 0 regardless — then the
+//     worker finished its work first): the monitor's reason
+//     (timeout/resource/interrupted)
+//   - result.json: success
+//   - failure.json: the worker's own classification
+//   - neither — external SIGKILL, OOM kill, panic without a report,
+//     unknown exit code: KindPanic, retryable, because the rotated
+//     checkpoints make a resume both safe and cheap; except the setup
+//     exit code, which no retry can fix.
+//
+// waitErr is cmd.Wait's error for a spawned worker (nil = exited 0).
+func (d *Daemon) classifyExit(j *job, jobDir string, waitErr error, reason *killReason) (*Result, error) {
+	if reason != nil && waitErr != nil {
 		retryable := reason.kind.Retryable()
 		if reason.kind == simerr.KindResource && j.spec.RetryResource {
 			retryable = true
 		}
-		return &errFailureWrap{Failure{Kind: string(reason.kind),
-			Message: reason.message, Retryable: retryable}}
+		return nil, &Failure{Kind: string(reason.kind), Message: reason.message, Retryable: retryable}
 	}
-	if f, err := readFailure(filepath.Join(jobDir, failureFile)); err == nil {
-		return &errFailureWrap{*f}
+	res, rerr := readJSON[Result](filepath.Join(jobDir, resultFile))
+	if rerr == nil {
+		return res, nil
+	}
+	if f, err := readJSON[Failure](filepath.Join(jobDir, failureFile)); err == nil {
+		return nil, f
 	}
 	var ee *exec.ExitError
-	if errors.As(waitErr, &ee) && ee.ExitCode() == ExitSetup {
-		return &errFailureWrap{Failure{Kind: "error",
-			Message: "worker setup failed (see worker.log)", Retryable: false}}
+	switch {
+	case waitErr == nil:
+		return nil, &Failure{Kind: string(simerr.KindPanic), Retryable: true,
+			Message: fmt.Sprintf("worker exited 0 but result unreadable: %v", rerr)}
+	case errors.As(waitErr, &ee) && ee.ExitCode() == ExitSetup:
+		return nil, &Failure{Kind: "error", Message: "worker setup failed (see worker.log)"}
 	}
-	return &errFailureWrap{Failure{Kind: string(simerr.KindPanic),
-		Message: fmt.Sprintf("worker died: %v", waitErr), Retryable: true}}
+	return nil, &Failure{Kind: string(simerr.KindPanic), Retryable: true,
+		Message: fmt.Sprintf("worker died: %v", waitErr)}
 }
 
+// completeJob and failJob make a job terminal. The admission slot and
+// the counter (for a completed job also the breaker verdict and the
+// latency sample) go first and the terminal record — the moment a
+// client can see the verdict — after them, so whoever reacts to that
+// record finds the slot free and the counters already telling the same
+// story.
 func (d *Daemon) completeJob(j *job, res *Result) {
-	now := time.Now()
-	j.mu.Lock()
-	j.st.State = StateDone
-	j.st.Result = res
-	j.st.Kind = ""
-	j.st.Error = ""
-	j.st.FinishedAt = rfc3339(now)
-	j.st.ElapsedMs = now.Sub(j.submitted).Milliseconds()
-	id, elapsed, queueWait := j.st.ID, j.st.ElapsedMs, j.st.QueueWaitMs
-	started := j.submitted
-	j.mu.Unlock()
 	d.queue.done(j.spec.Tenant)
 	d.breaker.Success(j.key)
-	d.noteLatency(elapsed)
+	if st, ok := d.store.status(j.id); ok {
+		d.noteLatency(time.Since(parseRFC3339(st.SubmittedAt)).Milliseconds())
+	}
 	d.count("jobd.jobs.done")
-	d.store.Append(Record{Op: opDone, Job: id, Result: res, Phase: StateDone})
-	d.journal.Append(supervisor.Entry{Event: supervisor.EventJobDone, Job: id,
+	st, err := d.commit(Record{Op: opDone, Job: j.id, Result: res, Phase: StateDone})
+	if err != nil {
+		return
+	}
+	d.journal.Append(supervisor.Entry{Event: supervisor.EventJobDone, Job: j.id,
 		Cycle: res.Cycles, Insns: res.Insns, Tenant: tenantName(j.spec.Tenant),
-		QueueWaitMs: queueWait, Started: rfc3339(started), ElapsedMs: elapsed})
+		QueueWaitMs: st.QueueWaitMs, Started: st.SubmittedAt, ElapsedMs: st.ElapsedMs})
 }
 
 func (d *Daemon) failJob(j *job, kind, message string, breaker bool) {
-	now := time.Now()
-	j.mu.Lock()
-	j.st.State = StateFailed
-	j.st.Kind = kind
-	j.st.Error = message
-	j.st.FinishedAt = rfc3339(now)
-	j.st.ElapsedMs = now.Sub(j.submitted).Milliseconds()
-	id, elapsed, queueWait := j.st.ID, j.st.ElapsedMs, j.st.QueueWaitMs
-	started := j.submitted
-	probe := j.probe
-	j.mu.Unlock()
 	d.queue.done(j.spec.Tenant)
 	d.count("jobd.jobs.failed")
-	d.store.Append(Record{Op: opFail, Job: id, Kind: kind, Message: message,
-		Phase: StateFailed})
-	d.journal.Append(supervisor.Entry{Event: supervisor.EventJobFail, Job: id,
-		Kind: kind, Message: message, Tenant: tenantName(j.spec.Tenant),
-		QueueWaitMs: queueWait, Started: rfc3339(started), ElapsedMs: elapsed})
+	if st, err := d.commit(Record{Op: opFail, Job: j.id, Kind: kind, Message: message,
+		Phase: StateFailed}); err == nil {
+		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobFail, Job: j.id,
+			Kind: kind, Message: message, Tenant: tenantName(j.spec.Tenant),
+			QueueWaitMs: st.QueueWaitMs, Started: st.SubmittedAt, ElapsedMs: st.ElapsedMs})
+	}
 	switch {
 	case breaker:
 		if d.breaker.Failure(j.key) {
 			d.count("jobd.breaker.opened")
 			d.journal.Append(supervisor.Entry{Event: supervisor.EventBreakerOpen,
-				Job: id, Message: fmt.Sprintf("config %#x admission stopped", j.key)})
+				Job: j.id, Message: fmt.Sprintf("config %#x admission stopped", j.key)})
 		}
-	case probe:
+	case j.probe:
 		// The half-open probe ended without a breaker verdict (e.g.
 		// interrupted): release the probe slot so the next submission
 		// probes again.
 		d.breaker.ProbeSettled(j.key)
 	}
-}
-
-func readResult(path string) (*Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Result
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-func readFailure(path string) (*Failure, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f Failure
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, err
-	}
-	return &f, nil
 }
 
 func isClosed(ch chan struct{}) bool {

@@ -19,7 +19,6 @@ package jobd
 import (
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"ptlsim/internal/core"
 	"ptlsim/internal/experiments"
@@ -261,6 +260,9 @@ type Failure struct {
 	RIP       uint64 `json:"rip,omitempty"`
 }
 
+// Error makes a *Failure the error a supervised attempt ends with.
+func (f *Failure) Error() string { return f.Kind + ": " + f.Message }
+
 // Status is the externally visible view of a job (GET /jobs/{id}).
 type Status struct {
 	ID    string `json:"id"`
@@ -297,12 +299,4 @@ func consoleFNV(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
-}
-
-// rfc3339 renders a timestamp for Status fields ("" for zero time).
-func rfc3339(t time.Time) string {
-	if t.IsZero() {
-		return ""
-	}
-	return t.UTC().Format(time.RFC3339Nano)
 }

@@ -197,9 +197,9 @@ func TestJobCompletes(t *testing.T) {
 	}
 
 	// Journal: submit → start → done, in the shared entry format. The
-	// state flips to done before completeJob appends its fsync'd store
-	// record and then the job_done entry, so wait for that entry rather
-	// than reading the journal once.
+	// job_done entry is written after the terminal store record that
+	// makes done visible, so wait for that entry rather than reading
+	// the journal once.
 	var sawSubmit, sawStart, sawDone bool
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		for _, e := range jb.entries(t) {
@@ -402,7 +402,6 @@ func TestQueueFullBackpressure(t *testing.T) {
 		// Stub workers that never finish: the queue stays full.
 		cfg.WorkerCommand = func(string) *exec.Cmd { return exec.Command("sleep", "60") }
 		cfg.QueueDepth = 1
-		cfg.RetryAfter = 2 * time.Second
 	})
 	defer drainDaemon(t, d)
 

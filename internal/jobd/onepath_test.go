@@ -29,7 +29,7 @@ func TestWorkerMatchesDirectRun(t *testing.T) {
 	if code := WorkerMain(dir, &log); code != 0 {
 		t.Fatalf("worker exited %d:\n%s", code, log.String())
 	}
-	res, err := readResult(filepath.Join(dir, resultFile))
+	res, err := readJSON[Result](filepath.Join(dir, resultFile))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package jobd
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -10,8 +9,9 @@ import (
 )
 
 // recoverFromStore rebuilds the daemon's runtime state from the
-// replayed job store: terminal jobs come back as status (and keep
-// their idempotency mapping), queued jobs are re-admitted to the
+// replayed job store. Job state needs no rebuilding — readers are
+// answered from the store, replayed or live alike — so terminal jobs
+// only feed the latency ring; queued jobs are re-admitted to the
 // admission queue — whose per-tenant priority heaps restore the
 // pre-crash dequeue order, since Priority and Tenant ride in the
 // persisted spec — and running jobs are staged for adopt-or-reap once
@@ -38,26 +38,6 @@ func (d *Daemon) recoverFromStore() error {
 	var doneLats []latSample
 	for i := range states {
 		js := &states[i]
-		j := d.resolveJob(js.Spec)
-		j.submitted = parseRFC3339(js.SubmittedAt)
-		j.st = Status{
-			ID:          js.ID,
-			State:       js.Phase,
-			Spec:        j.spec,
-			Attempts:    js.Attempt,
-			Kind:        js.Kind,
-			Error:       js.Error,
-			Result:      js.Result,
-			SubmittedAt: js.SubmittedAt,
-			StartedAt:   js.StartedAt,
-			FinishedAt:  js.FinishedAt,
-			Dir:         filepath.Join(d.cfg.Dir, "jobs", js.ID),
-		}
-		if start := parseRFC3339(js.StartedAt); !start.IsZero() && !j.submitted.IsZero() {
-			j.st.QueueWaitMs = start.Sub(j.submitted).Milliseconds()
-		}
-		d.jobs[js.ID] = j
-		d.order = append(d.order, js.ID)
 		// The campaign epoch fence is durable: every accepted spec is in
 		// the store, so the highest epoch per cell survives a crash.
 		if ck := js.Spec.CellKey(); ck != "" && js.Spec.Epoch > d.cellEpoch[ck] {
@@ -67,21 +47,20 @@ func (d *Daemon) recoverFromStore() error {
 		switch js.Phase {
 		case StateDone, StateFailed:
 			d.recovery.Terminal++
-			if fin, sub := parseRFC3339(js.FinishedAt), j.submitted; !fin.IsZero() && !sub.IsZero() {
-				j.st.ElapsedMs = fin.Sub(sub).Milliseconds()
-				if js.Phase == StateDone {
-					ms := j.st.ElapsedMs
-					if ms <= 0 {
-						ms = 1 // sub-millisecond completion: still a sample
-					}
-					doneLats = append(doneLats, latSample{fin: fin, ms: ms})
-				}
+			if fin := parseRFC3339(js.FinishedAt); js.Phase == StateDone && !fin.IsZero() {
+				st, _ := d.store.status(js.ID)
+				// A sub-millisecond completion is still a sample.
+				doneLats = append(doneLats, latSample{fin: fin, ms: max(st.ElapsedMs, 1)})
 			}
 		case StateQueued:
 			d.recovery.Requeued++
+			j := d.resolveJob(js.ID, js.Spec)
+			d.jobs[js.ID] = j
 			d.queue.push(j)
 		case StateRunning:
 			d.recovery.Resumed++
+			j := d.resolveJob(js.ID, js.Spec)
+			d.jobs[js.ID] = j
 			// A fresh respawn budget per daemon incarnation: the daemon
 			// crashing is not evidence against the job, and a chaos soak
 			// of N daemon kills must not exhaust a per-job budget.
@@ -91,7 +70,7 @@ func (d *Daemon) recoverFromStore() error {
 				pid:      js.PID,
 				pidStart: js.PIDStart,
 				started:  parseRFC3339(js.StartedAt),
-				attempt:  maxInt(js.Attempt, 1),
+				attempt:  max(js.Attempt, 1),
 			}})
 		default:
 			return fmt.Errorf("jobd: store job %s in unknown phase %q", js.ID, js.Phase)
@@ -115,22 +94,4 @@ func (d *Daemon) recoverFromStore() error {
 				d.recovery.Resumed, d.recovery.Skipped)})
 	}
 	return nil
-}
-
-func parseRFC3339(s string) time.Time {
-	if s == "" {
-		return time.Time{}
-	}
-	t, err := time.Parse(time.RFC3339Nano, s)
-	if err != nil {
-		return time.Time{}
-	}
-	return t
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

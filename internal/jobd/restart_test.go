@@ -751,7 +751,6 @@ func TestRetryAfterReflectsDrainRate(t *testing.T) {
 	d := newDaemon(t, nil, func(cfg *Config) {
 		cfg.WorkerCommand = func(string) *exec.Cmd { return exec.Command("sleep", "60") }
 		cfg.QueueDepth = 1
-		cfg.RetryAfter = 2 * time.Second
 	})
 	defer drainDaemon(t, d)
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"ptlsim/internal/metrics"
@@ -120,9 +119,8 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Fencing: a superseded lease must not re-admit its job. 409 is
 		// terminal for that epoch — the dispatcher must not retry it.
 		httpError(w, http.StatusConflict, err.Error())
-	case strings.Contains(err.Error(), "circuit breaker"):
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
 	default:
+		// A tripped circuit breaker or an invalid spec.
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 	}
 }

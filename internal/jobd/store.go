@@ -12,14 +12,17 @@ import (
 	"time"
 )
 
-// The job store is the daemon's write-ahead log: every job state
-// transition (accepted → queued → running(pid, attempt) →
-// done/failed) is appended as an fsync'd JSONL record to
-// <dir>/store.jsonl before the transition is acted on, so a daemon
-// crash — SIGKILL, OOM kill, deploy restart — loses at most the
-// in-flight HTTP response, never an accepted job. Startup replays the
-// log to rebuild the queue, re-attach or reap orphaned workers, and
-// answer idempotent resubmits.
+// The job store is the daemon's write-ahead log and the only copy of a
+// job's lifecycle state: every transition (accepted → queued →
+// running(pid, attempt) → done/failed) is one fsync'd JSONL record
+// appended to <dir>/store.jsonl and then folded into the materialised
+// JobState by apply, so a transition exists, and is visible, exactly
+// when it is durable. apply is the only writer of that state and view
+// the only constructor of the Status readers see, which is why a live
+// daemon, a restarted one and a read-only replay answer identically. A daemon crash — SIGKILL, OOM kill, deploy restart —
+// loses at most the in-flight HTTP response, never an accepted job:
+// startup replays the log to rebuild the queue, re-attach or reap
+// orphaned workers, and answer idempotent resubmits.
 //
 // Replay is bounded by snapshot compaction: every CompactEvery
 // appends, the materialized state is written atomically (temp + fsync
@@ -59,7 +62,8 @@ type Record struct {
 }
 
 // JobState is the materialized per-job state the WAL replays into —
-// everything recovery needs to re-queue, adopt, or report a job.
+// the job itself: what recovery re-queues or adopts, and what every
+// Status a reader sees is computed from.
 type JobState struct {
 	ID       string  `json:"id"`
 	IdemKey  string  `json:"idem_key,omitempty"`
@@ -68,13 +72,17 @@ type JobState struct {
 	Attempt  int     `json:"attempt,omitempty"`
 	PID      int     `json:"pid,omitempty"`
 	PIDStart uint64  `json:"pid_start,omitempty"`
+	Adopted  bool    `json:"adopted,omitempty"` // a restarted daemon re-attached the live worker
 	Kind     string  `json:"kind,omitempty"`
 	Error    string  `json:"error,omitempty"`
 	Result   *Result `json:"result,omitempty"`
 
 	SubmittedAt string `json:"submitted_at,omitempty"`
-	StartedAt   string `json:"started_at,omitempty"` // newest attempt's start
+	StartedAt   string `json:"started_at,omitempty"` // newest attempt's start (its deadline base)
 	FinishedAt  string `json:"finished_at,omitempty"`
+	// FirstStartedAt keeps the first attempt's start — where the queue
+	// wait ended — once a respawn has moved StartedAt on.
+	FirstStartedAt string `json:"first_started_at,omitempty"`
 }
 
 // terminal reports whether the phase can no longer change.
@@ -271,6 +279,9 @@ func (s *JobStore) apply(rec Record) {
 		js.Attempt = rec.Attempt
 		js.PID = rec.PID
 		js.PIDStart = rec.PIDStart
+		if js.FirstStartedAt == "" {
+			js.FirstStartedAt = js.StartedAt
+		}
 		js.StartedAt = rec.Time
 	case opAdopt:
 		if js == nil {
@@ -279,6 +290,7 @@ func (s *JobStore) apply(rec Record) {
 		js.Phase = StateRunning
 		js.PID = rec.PID
 		js.PIDStart = rec.PIDStart
+		js.Adopted = true
 	case opExit:
 		if js == nil {
 			return
@@ -320,7 +332,10 @@ func (s *JobStore) apply(rec Record) {
 // Append stamps, persists (write + fsync), and applies one record,
 // returning the stamped record. The write hits disk before the state
 // change is visible to readers — WAL discipline: a transition the
-// daemon acted on is always recoverable.
+// daemon acted on is always recoverable. An error with a zero record
+// means nothing was applied; an error with a stamped record means the
+// record is durable and applied and only the compaction after it
+// failed.
 func (s *JobStore) Append(rec Record) (Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -455,6 +470,109 @@ func (s *JobStore) Jobs() []JobState {
 		out = append(out, *s.jobs[id])
 	}
 	return out
+}
+
+// view builds the externally visible Status of one job. It is the only
+// constructor of a Status and a pure function of the materialised
+// state: the derived fields (elapsed, queue wait, directory) are
+// computed here from the durable stamps, never stored, so the answer
+// cannot depend on which daemon incarnation is asked. Called with mu
+// held.
+func (s *JobStore) view(js *JobState) Status {
+	started := js.FirstStartedAt
+	if started == "" {
+		started = js.StartedAt
+	}
+	return Status{
+		ID:          js.ID,
+		State:       js.Phase,
+		Spec:        js.Spec,
+		Attempts:    js.Attempt,
+		PID:         js.PID,
+		Adopted:     js.Adopted,
+		Kind:        js.Kind,
+		Error:       js.Error,
+		SubmittedAt: js.SubmittedAt,
+		StartedAt:   started,
+		FinishedAt:  js.FinishedAt,
+		ElapsedMs:   msBetween(js.SubmittedAt, js.FinishedAt),
+		QueueWaitMs: msBetween(js.SubmittedAt, started),
+		Result:      js.Result,
+		Dir:         filepath.Join(s.dir, "jobs", js.ID),
+	}
+}
+
+// msBetween is the whole milliseconds from one store stamp to a later
+// one (0 when either is absent).
+func msBetween(from, to string) int64 {
+	a, b := parseRFC3339(from), parseRFC3339(to)
+	if a.IsZero() || b.IsZero() {
+		return 0
+	}
+	return b.Sub(a).Milliseconds()
+}
+
+// parseRFC3339 reads a store stamp back (zero time when absent or
+// malformed).
+func parseRFC3339(s string) time.Time {
+	if s == "" {
+		return time.Time{}
+	}
+	t, err := time.Parse(time.RFC3339Nano, s)
+	if err != nil {
+		return time.Time{}
+	}
+	return t
+}
+
+// status returns one job's externally visible status.
+func (s *JobStore) status(id string) (Status, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	js, ok := s.jobs[id]
+	if !ok {
+		return Status{}, false
+	}
+	return s.view(js), true
+}
+
+// statuses returns job statuses in acceptance order, optionally
+// restricted to one phase and capped at limit entries (limit <= 0 =
+// unbounded). Only matching jobs are rendered and the walk stops at
+// the limit, so a dispatcher's phase+limit poll costs O(limit) views,
+// not one per job the daemon has ever run.
+func (s *JobStore) statuses(phase State, limit int) []Status {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.order)
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	out := make([]Status, 0, n)
+	for _, id := range s.order {
+		js := s.jobs[id]
+		if phase != "" && js.Phase != phase {
+			continue
+		}
+		out = append(out, s.view(js))
+		if limit > 0 && len(out) >= limit {
+			break
+		}
+	}
+	return out
+}
+
+// phaseCount counts the jobs currently in one lifecycle phase.
+func (s *JobStore) phaseCount(phase State) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, js := range s.jobs {
+		if js.Phase == phase {
+			n++
+		}
+	}
+	return n
 }
 
 // IdemLookup resolves an idempotency key to the job it accepted.

@@ -59,7 +59,7 @@ const (
 // The returned value is the process exit code; errw receives human
 // diagnostics (the daemon redirects it to <dir>/worker.log).
 func WorkerMain(dir string, errw io.Writer) int {
-	spec, err := readSpec(filepath.Join(dir, specFile))
+	spec, err := readJSON[Spec](filepath.Join(dir, specFile))
 	if err != nil {
 		fmt.Fprintln(errw, "worker:", err)
 		return ExitSetup
@@ -83,8 +83,8 @@ func WorkerMain(dir string, errw io.Writer) int {
 	// zero-length heartbeat as a fresh one, and a recovering daemon can
 	// cross-check whose heartbeat it is looking at.
 	interval := time.Duration(spec.HeartbeatMs) * time.Millisecond
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
+	if interval <= 0 { // a spec.json the daemon did not write
+		interval = heartbeatMs * time.Millisecond
 	}
 	hbPath := filepath.Join(dir, heartbeatFile)
 	hb := heartbeat{PID: os.Getpid()}
@@ -254,16 +254,18 @@ func runFuzzJob(ctx context.Context, spec *Spec, dir string, journal io.Writer) 
 	return &Result{Fuzz: fr}, nil
 }
 
-func readSpec(path string) (*Spec, error) {
+// readJSON decodes one of the job directory's JSON files (spec,
+// result, failure).
+func readJSON[T any](path string) (*T, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	v := new(T)
+	if err := json.Unmarshal(data, v); err != nil {
 		return nil, fmt.Errorf("jobd: %s: %w", path, err)
 	}
-	return &s, nil
+	return v, nil
 }
 
 // writeJSON writes v to path atomically, so the daemon never reads a
@@ -299,15 +301,4 @@ func writeHeartbeat(path string, hb heartbeat) error {
 		return err
 	}
 	return atomicWrite(path, data, false)
-}
-
-// readHeartbeat parses a heartbeat file's body.
-func readHeartbeat(path string) (heartbeat, error) {
-	var hb heartbeat
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return hb, err
-	}
-	err = json.Unmarshal(data, &hb)
-	return hb, err
 }

@@ -24,7 +24,6 @@ import (
 	"ptlsim/internal/core"
 	"ptlsim/internal/hv"
 	"ptlsim/internal/mem"
-	"ptlsim/internal/simerr"
 	"ptlsim/internal/stats"
 	"ptlsim/internal/uops"
 	"ptlsim/internal/vm"
@@ -239,12 +238,7 @@ func (r *Runner) RunCtx(ctx context.Context, maxCycles uint64) error {
 	}
 	for !r.M.Dom.ShutdownReq {
 		if maxCycles > 0 && r.M.Cycle >= maxCycles {
-			vctx := r.M.Dom.VCPUs[0]
-			return &simerr.SimError{
-				Kind: simerr.KindCycleBudget, Cycle: r.M.Cycle,
-				VCPU: vctx.ID, RIP: vctx.RIP,
-				Message: fmt.Sprintf("cycle budget %d exhausted", maxCycles),
-			}
+			return r.M.BudgetErr(fmt.Sprintf("cycle budget %d exhausted", maxCycles))
 		}
 		target := r.M.Cycle + r.Interval
 		if maxCycles > 0 && target > maxCycles {

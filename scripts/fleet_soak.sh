@@ -23,6 +23,7 @@ data="${FLEET_DATA:-$bin/data}"
 nseeds=$((njobs / 2)) # repeats=2 → cells = 2 * seeds
 pids=""
 trap 'for p in $pids; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$bin"' EXIT
+. "$(dirname "$0")/lib.sh"
 
 p1=$base_port
 p2=$((base_port + 1))
@@ -30,24 +31,8 @@ p3=$((base_port + 2))
 pproxy=$((base_port + 3))
 pctl=$((base_port + 4))
 
-echo "== building ptlserve/ptlsweep/ptlmon/chaosnet"
-go build -o "$bin/ptlserve" ./cmd/ptlserve
-go build -o "$bin/ptlsweep" ./cmd/ptlsweep
-go build -o "$bin/ptlmon" ./cmd/ptlmon
-go build -o "$bin/chaosnet" ./cmd/chaosnet
+build ptlserve ptlsweep ptlmon chaosnet
 mkdir -p "$data"
-
-wait_http() { # wait_http <url>
-	i=0
-	until curl -sf "$1" >/dev/null 2>&1; do
-		i=$((i + 1))
-		if [ "$i" -gt 100 ]; then
-			echo "no answer from $1 (logs in $data)"
-			exit 1
-		fi
-		sleep 0.1
-	done
-}
 
 start_daemon() { # start_daemon <n> <port> -> pid on stdout
 	"$bin/ptlserve" -addr "127.0.0.1:$2" -data "$data/node$1" -workers 2 \
@@ -107,7 +92,7 @@ sed 's/^/   /' "$data/sweep.log" | tail -6
 
 echo "== verifying the merged report"
 field() { # field <name> -> integer value from report.json
-	sed -n "s/.*\"$1\": \{0,1\}\([0-9][0-9]*\).*/\1/p" "$data/report.json" | head -1
+	json_int "$1" <"$data/report.json"
 }
 cells=$(field cells)
 done_n=$(field done)

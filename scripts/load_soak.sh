@@ -27,6 +27,7 @@ bin="$(mktemp -d)"
 data="${LOAD_DATA:-$bin/data}"
 pids=""
 trap 'for p in $pids; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$bin"' EXIT
+. "$(dirname "$0")/lib.sh"
 
 pserve=$base_port
 pproxy=$((base_port + 1))
@@ -38,24 +39,8 @@ n_latency=$((total * 25 / 100))
 n_chaos=$((total * 15 / 100))
 n_deadline=$((total - n_greedy - n_latency - n_chaos))
 
-echo "== building ptlserve/ptlload/ptlmon/chaosnet"
-go build -o "$bin/ptlserve" ./cmd/ptlserve
-go build -o "$bin/ptlload" ./cmd/ptlload
-go build -o "$bin/ptlmon" ./cmd/ptlmon
-go build -o "$bin/chaosnet" ./cmd/chaosnet
+build ptlserve ptlload ptlmon chaosnet
 mkdir -p "$data"
-
-wait_http() { # wait_http <url>
-	i=0
-	until curl -sf "$1" >/dev/null 2>&1; do
-		i=$((i + 1))
-		if [ "$i" -gt 100 ]; then
-			echo "no answer from $1 (logs in $data)"
-			exit 1
-		fi
-		sleep 0.1
-	done
-}
 
 echo "== starting ptlserve with per-tenant quotas + chaosnet (bandwidth-capped) in front"
 "$bin/ptlserve" -addr "127.0.0.1:$pserve" -data "$data/serve" -workers 4 \
@@ -97,8 +82,7 @@ lc=$!
 # fails open and admits everything) and the storm's backlog is real.
 i=0
 while :; do
-	done_n=$(curl -sf "http://127.0.0.1:$pserve/statz" |
-		sed -n 's/.*"jobd.jobs.done": \{0,1\}\([0-9][0-9]*\).*/\1/p')
+	done_n=$(curl -sf "http://127.0.0.1:$pserve/statz" | json_int jobd.jobs.done)
 	[ "${done_n:-0}" -ge 4 ] && break
 	i=$((i + 1))
 	if [ "$i" -gt 600 ]; then
@@ -124,7 +108,7 @@ if [ "$fail" != "0" ]; then
 fi
 
 field() { # field <file> <name> -> integer value
-	sed -n "s/.*\"$2\": \{0,1\}\([0-9][0-9]*\).*/\1/p" "$data/$1.json" | head -1
+	json_int "$2" <"$data/$1.json"
 }
 
 echo "== waiting for the accepted backlog to drain"
@@ -158,8 +142,7 @@ if ! cmp -s "$data/accepted.ids" "$data/daemon.ids"; then
 	exit 1
 fi
 accepted=$(wc -l <"$data/accepted.ids" | tr -d ' ')
-failed=$(curl -sf "http://127.0.0.1:$pserve/statz" |
-	sed -n 's/.*"jobd.jobs.failed": \{0,1\}\([0-9][0-9]*\).*/\1/p')
+failed=$(curl -sf "http://127.0.0.1:$pserve/statz" | json_int jobd.jobs.failed)
 if [ "${failed:-0}" != "0" ]; then
 	echo "jobd.jobs.failed = $failed, want 0"
 	exit 1
@@ -241,8 +224,7 @@ esac
 echo "   admission p99 <= ${p99}ms"
 
 echo "== asserting: the chaos tenant really was bandwidth-capped"
-bw_waits=$(curl -sf "http://127.0.0.1:$pctl/stats" |
-	sed -n 's/.*"bw_waits": \{0,1\}\([0-9][0-9]*\).*/\1/p')
+bw_waits=$(curl -sf "http://127.0.0.1:$pctl/stats" | json_int bw_waits)
 if [ "${bw_waits:-0}" -lt 1 ]; then
 	echo "chaosnet bw_waits=$bw_waits — the bandwidth cap never throttled"
 	exit 1

@@ -13,12 +13,9 @@ port="${SERVE_PORT:-17489}"
 bin="$(mktemp -d)"
 daemon_pid=""
 trap '[ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
+. "$(dirname "$0")/lib.sh"
 
-echo "== building ptlsim/ptlstats/ptlserve/ptlmon"
-go build -o "$bin/ptlsim" ./cmd/ptlsim
-go build -o "$bin/ptlstats" ./cmd/ptlstats
-go build -o "$bin/ptlserve" ./cmd/ptlserve
-go build -o "$bin/ptlmon" ./cmd/ptlmon
+build ptlsim ptlstats ptlserve ptlmon
 
 echo "== simulating with -evlog"
 "$bin/ptlsim" -scale bench -nfiles 1 -filesize 1024 -change 0.4 \
@@ -59,41 +56,17 @@ echo "   chrome/konata/text exporters OK"
 echo "== booting ptlserve"
 "$bin/ptlserve" -addr "127.0.0.1:$port" -data "$bin/data" -workers 1 &
 daemon_pid=$!
-i=0
-until curl -sf "http://127.0.0.1:$port/healthz" >/dev/null 2>&1; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "daemon never came up"
-		exit 1
-	fi
-	sleep 0.1
-done
+wait_http "http://127.0.0.1:$port/healthz" "daemon never came up"
 
 echo "== running one job"
 curl -sf -d '{"scale":"bench","nfiles":1,"filesize":1024,"seed":5,"change":0.4,"timer":4000000000,"maxcycles":-1,"checkpoint_cycles":50000}' \
 	"http://127.0.0.1:$port/jobs" >"$bin/submit.json"
-id=$(sed -n 's/.*"id":"\([0-9]*\)".*/\1/p' "$bin/submit.json")
+id=$(json_id <"$bin/submit.json")
 [ -n "$id" ] || {
 	echo "no job id in submit response"
 	exit 1
 }
-i=0
-while :; do
-	st=$(curl -sf "http://127.0.0.1:$port/jobs/$id")
-	case "$st" in
-	*'"state":"done"'*) break ;;
-	*'"state":"failed"'*)
-		echo "job failed: $st"
-		exit 1
-		;;
-	esac
-	i=$((i + 1))
-	if [ "$i" -gt 600 ]; then
-		echo "job did not finish: $st"
-		exit 1
-	fi
-	sleep 0.5
-done
+wait_job "http://127.0.0.1:$port" "$id"
 
 echo "== scraping /metrics"
 curl -sf "http://127.0.0.1:$port/metrics" >"$bin/metrics.txt"

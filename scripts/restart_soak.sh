@@ -4,8 +4,10 @@
 # at randomized points mid-campaign and restart it on the same data
 # directory. The durable job store must carry every job across every
 # crash: at the end, zero jobs are lost, zero are duplicated, every job
-# is done with bit-identical guest output, and idempotent resubmission
-# across crashes keeps returning the original jobs.
+# is done with bit-identical guest output, idempotent resubmission
+# across crashes keeps returning the original jobs, and one more crash
+# after the end leaves every job's status byte-identical (a status is a
+# view of the durable store, not of the daemon that ran the job).
 #
 # Knobs: SOAK_ROUNDS (daemon kills, default 4), SOAK_JOBS (batch size,
 # default 4), SOAK_SEED (randomized kill-delay seed, default $$),
@@ -22,6 +24,7 @@ data="${SERVE_DATA:-$bin/data}"
 base="http://127.0.0.1:$port"
 daemon_pid=""
 trap '[ -n "$daemon_pid" ] && kill -9 "$daemon_pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
+. "$(dirname "$0")/lib.sh"
 
 # A workload long enough that kills land mid-run, with a tight
 # checkpoint cadence so every crash has rotation slots to resume from.
@@ -35,15 +38,14 @@ start_daemon() {
 	"$bin/ptlserve" -addr "127.0.0.1:$port" -data "$data" -workers 2 \
 		-compact-every 8 >>"$data/daemon.log" 2>&1 &
 	daemon_pid=$!
-	i=0
-	until curl -sf "$base/healthz" >/dev/null 2>&1; do
-		i=$((i + 1))
-		if [ "$i" -gt 100 ]; then
-			echo "daemon never came up (see $data/daemon.log)"
-			exit 1
-		fi
-		sleep 0.1
-	done
+	wait_http "$base/healthz" "daemon never came up (see $data/daemon.log)"
+}
+
+crash_daemon() { # SIGKILL the daemon and restart it on the same data directory
+	kill -9 "$daemon_pid"
+	wait "$daemon_pid" 2>/dev/null || true
+	daemon_pid=""
+	start_daemon
 }
 
 job_field() { # job_field <id> <field> -> first scalar value of that field
@@ -64,10 +66,7 @@ all_done() {
 	return 0
 }
 
-echo "== building ptlserve/ptlmon"
-go build -o "$bin/ptlserve" ./cmd/ptlserve
-go build -o "$bin/ptlmon" ./cmd/ptlmon
-
+build ptlserve ptlmon
 mkdir -p "$data"
 start_daemon
 
@@ -76,7 +75,7 @@ job_ids=""
 n=1
 while [ "$n" -le "$njobs" ]; do
 	out=$(curl -sf -H "Idempotency-Key: soak-$n" -d "$spec" "$base/jobs")
-	id=$(printf '%s' "$out" | sed -n 's/.*"id":"\([0-9]*\)".*/\1/p')
+	id=$(printf '%s' "$out" | json_id)
 	if [ -z "$id" ]; then
 		echo "submit $n got no job id: $out"
 		exit 1
@@ -95,17 +94,14 @@ while [ "$round" -le "$rounds" ]; do
 	delay=$(rand_ms "$round")
 	sleep "$(awk -v ms="$delay" 'BEGIN{printf "%.3f", ms / 1000}')"
 	echo "== round $round: SIGKILL daemon (pid $daemon_pid) after ${delay}ms"
-	kill -9 "$daemon_pid"
-	wait "$daemon_pid" 2>/dev/null || true
-	daemon_pid=""
-	start_daemon
+	crash_daemon
 
 	# Idempotent resubmission across the crash: the original job comes
 	# back (HTTP 200, same id), no duplicate is admitted.
 	want=$(printf '%s' "$job_ids" | awk '{print $1}')
 	code_body=$(curl -s -w '\n%{http_code}' -H "Idempotency-Key: soak-1" -d "$spec" "$base/jobs")
 	code=$(printf '%s' "$code_body" | tail -1)
-	got=$(printf '%s' "$code_body" | sed -n 's/.*"id":"\([0-9]*\)".*/\1/p' | head -1)
+	got=$(printf '%s' "$code_body" | json_id)
 	if [ "$code" != "200" ] || [ "$got" != "$want" ]; then
 		echo "idempotent resubmit after crash: code=$code id=$got want=200 id=$want"
 		exit 1
@@ -150,6 +146,20 @@ for id in $job_ids; do
 	fi
 done
 echo "   $total/$njobs done, console_fnv=$ref_fnv for all"
+
+echo "== one more SIGKILL: every job's status must come back byte-identical"
+for id in $job_ids; do
+	curl -sf "$base/jobs/$id" >"$bin/status.$id"
+done
+crash_daemon
+for id in $job_ids; do
+	if ! curl -sf "$base/jobs/$id" | cmp -s - "$bin/status.$id"; then
+		echo "job $id reports differently after a restart:"
+		curl -sf "$base/jobs/$id" | diff "$bin/status.$id" - || true
+		exit 1
+	fi
+done
+echo "   $njobs statuses unchanged"
 
 echo "== recovered store state (ptlmon -inspect)"
 "$bin/ptlmon" -inspect "$data" | sed 's/^/   /'

@@ -15,23 +15,13 @@ bin="$(mktemp -d)"
 data="${SERVE_DATA:-$bin/data}"
 daemon_pid=""
 trap '[ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
+. "$(dirname "$0")/lib.sh"
 
-echo "== building ptlserve/ptlmon"
-go build -o "$bin/ptlserve" ./cmd/ptlserve
-go build -o "$bin/ptlmon" ./cmd/ptlmon
+build ptlserve ptlmon
 
 "$bin/ptlserve" -addr "127.0.0.1:$port" -data "$data" -workers 1 &
 daemon_pid=$!
-
-i=0
-until curl -sf "http://127.0.0.1:$port/healthz" >/dev/null 2>&1; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "daemon never came up"
-		exit 1
-	fi
-	sleep 0.1
-done
+wait_http "http://127.0.0.1:$port/healthz" "daemon never came up"
 
 echo "== submitting job"
 curl -sf -d '{"scale":"bench","nfiles":1,"filesize":1024,"seed":5,"change":0.4,"timer":4000000000,"maxcycles":-1,"checkpoint_cycles":50000}' \
@@ -39,30 +29,14 @@ curl -sf -d '{"scale":"bench","nfiles":1,"filesize":1024,"seed":5,"change":0.4,"
 cat "$bin/submit.json"
 echo
 
-id=$(sed -n 's/.*"id":"\([0-9]*\)".*/\1/p' "$bin/submit.json")
+id=$(json_id <"$bin/submit.json")
 if [ -z "$id" ]; then
 	echo "no job id in submit response"
 	exit 1
 fi
 
 echo "== polling job $id"
-i=0
-while :; do
-	st=$(curl -sf "http://127.0.0.1:$port/jobs/$id")
-	case "$st" in
-	*'"state":"done"'*) break ;;
-	*'"state":"failed"'*)
-		echo "job failed: $st"
-		exit 1
-		;;
-	esac
-	i=$((i + 1))
-	if [ "$i" -gt 600 ]; then
-		echo "job did not finish: $st"
-		exit 1
-	fi
-	sleep 0.5
-done
+wait_job "http://127.0.0.1:$port" "$id"
 
 case "$st" in
 *'rsync ok'*) echo "guest output OK" ;;
