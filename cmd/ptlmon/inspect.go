@@ -18,8 +18,8 @@ import (
 // *.ckpt slot, newest name first, so the triage question "which slot
 // is intact and how far did it get?" is one command. Given a ptlserve
 // data directory (one holding a durable job store), it instead renders
-// the recovered store state: every job's id, phase, attempt count, and
-// newest intact checkpoint slot.
+// the recovered store state: every job's status as the daemon's API
+// reports it, plus its newest intact checkpoint slot.
 func inspectPath(w io.Writer, path string) error {
 	st, err := os.Stat(path)
 	if err != nil {
@@ -51,43 +51,24 @@ func inspectPath(w io.Writer, path string) error {
 // inspectStore renders a ptlserve daemon data directory from its
 // durable job store — the same replay the daemon performs on boot, but
 // read-only: torn log lines are skipped with a warning, and each job's
-// recovered state is printed with the newest intact checkpoint slot a
-// respawn would resume from.
+// status, the one GET /jobs/{id} serves, is printed with the newest
+// intact checkpoint slot a respawn would resume from.
 func inspectStore(w io.Writer, dir string) error {
-	states, skipped, err := jobd.ReadJobStore(dir)
+	jobs, skipped, err := jobd.ReadJobStore(dir)
 	if err != nil {
 		return err
 	}
 	if skipped > 0 {
 		fmt.Fprintf(w, "%s: warning: skipped %d torn store log line(s)\n", dir, skipped)
 	}
-	fmt.Fprintf(w, "%s: job store, %d job(s)\n", dir, len(states))
-	for _, js := range jobd.SortedJobStates(states) {
-		fmt.Fprintf(w, "  %s: %s", js.ID, js.Phase)
-		if js.Attempt > 0 {
-			fmt.Fprintf(w, ", attempt %d", js.Attempt)
+	fmt.Fprintf(w, "%s: job store, %d job(s)\n", dir, len(jobs))
+	return writeJobTable(w, jobs, func(st jobd.Status) string {
+		slot, cycle, ok := newestIntactSlot(filepath.Join(st.Dir, "ckpt"))
+		if !ok {
+			return "no intact ckpt"
 		}
-		if js.PID > 0 && js.Phase == jobd.StateRunning {
-			fmt.Fprintf(w, ", worker pid %d", js.PID)
-		}
-		if js.Kind != "" {
-			fmt.Fprintf(w, ", %s", js.Kind)
-		}
-		if js.Result != nil {
-			fmt.Fprintf(w, ", cycle %d, %d instructions", js.Result.Cycles, js.Result.Insns)
-		}
-		slot, cycle, ok := newestIntactSlot(filepath.Join(dir, "jobs", js.ID, "ckpt"))
-		if ok {
-			fmt.Fprintf(w, ", newest ckpt %s (cycle %d)", slot, cycle)
-		} else {
-			fmt.Fprintf(w, ", no intact ckpt")
-		}
-		fmt.Fprintln(w)
-		if js.Error != "" {
-			fmt.Fprintf(w, "    error: %s\n", js.Error)
-		}
-	}
-	return nil
+		return fmt.Sprintf("%s (cycle %d)", slot, cycle)
+	})
 }
 
 // newestIntactSlot scans a rotated checkpoint directory newest name

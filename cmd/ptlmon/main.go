@@ -12,6 +12,7 @@
 //	ptlmon -replay trace.bin     # re-run with injected trace events
 //	ptlmon -journal run.jsonl    # summarize a supervised run's journal
 //	ptlmon -inspect dir-or-ckpt  # triage checkpoint headers without restoring
+//	ptlmon -inspect ptlserve-data # a ptlserve data directory: its jobs, from the store
 //	ptlmon -addr URL             # list a remote ptlserve daemon's jobs
 //	ptlmon -addr URL -job 0003   # show one remote job's status
 //	ptlmon -addr URL -version    # remote daemon build + schema identity
@@ -39,7 +40,7 @@ func main() {
 		maxCyc  = flag.Uint64("maxcycles", 0, "cycle budget (0 = unlimited)")
 		journal = flag.String("journal", "", "summarize a supervisor run journal (JSONL) and exit")
 		tailN   = flag.Int("tail", 0, "with -journal: also print the last N events")
-		inspect = flag.String("inspect", "", "print a checkpoint file's header (or every *.ckpt in a directory) without restoring, and exit")
+		inspect = flag.String("inspect", "", "print a checkpoint file's header (or every *.ckpt in a directory; or, for a ptlserve data directory, its jobs) without restoring, and exit")
 		addr    = flag.String("addr", "", "ptlserve base URL: list its jobs (or use -job/-version) and exit")
 		jobID   = flag.String("job", "", "with -addr: show this job's status")
 		phase   = flag.String("phase", "", "with -addr: only list jobs in this phase (queued|running|done|failed)")

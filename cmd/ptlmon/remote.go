@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -59,12 +60,31 @@ func remoteMain(w io.Writer, addr, job, phase string, limit int, version bool) e
 		fmt.Fprintln(w)
 		return nil
 	}
+	return writeJobTable(w, jobs, nil)
+}
+
+// writeJobTable prints job statuses as a table. It is the one renderer
+// of a job's outcome: -addr hands it what GET /jobs answered, -inspect
+// what the job store in a data directory replays to, which is the same
+// Status. Columns up to ELAPSED hold no spaces (scripts read them by
+// position; the two durations are whole milliseconds). ckpt, when
+// non-nil, fills a trailing newest-intact-checkpoint column, which only
+// a reader on the daemon's host can know.
+func writeJobTable(w io.Writer, jobs []jobd.Status, ckpt func(jobd.Status) string) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "JOB\tTENANT\tPRI\tSTATE\tATTEMPTS\tWAIT\tELAPSED\tDETAIL")
+	head := "JOB\tTENANT\tPRI\tSTATE\tATTEMPTS\tWAIT\tELAPSED\tDETAIL"
+	if ckpt != nil {
+		head += "\tCKPT"
+	}
+	fmt.Fprintln(tw, head)
 	for _, st := range jobs {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%d\t%s\t%s\t%s\n",
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%d\t%s\t%s\t%s",
 			st.ID, tenantCol(st), st.Spec.Priority, st.State, st.Attempts,
-			waitCol(st), elapsedCol(st), detailCol(st))
+			msCol(st.QueueWaitMs), msCol(st.ElapsedMs), detailCol(st))
+		if ckpt != nil {
+			fmt.Fprintf(tw, "\t%s", ckpt(st))
+		}
+		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
 }
@@ -94,30 +114,30 @@ func tenantCol(st jobd.Status) string {
 	return st.Spec.Tenant
 }
 
-func waitCol(st jobd.Status) string {
-	if st.QueueWaitMs <= 0 {
+func msCol(ms int64) string {
+	if ms <= 0 {
 		return "-"
 	}
-	return (time.Duration(st.QueueWaitMs) * time.Millisecond).Round(time.Millisecond).String()
+	return fmt.Sprintf("%dms", ms)
 }
 
-func elapsedCol(st jobd.Status) string {
-	if st.ElapsedMs <= 0 {
-		return "-"
-	}
-	return (time.Duration(st.ElapsedMs) * time.Millisecond).Round(time.Millisecond).String()
-}
-
+// detailCol is the verdict (or, for a live job, where it stands),
+// marked when a restarted daemon adopted the job's worker.
 func detailCol(st jobd.Status) string {
+	var d string
 	switch {
 	case st.State == jobd.StateDone && st.Result != nil:
-		return fmt.Sprintf("cycle %d, %d insns, fnv %016x",
+		d = fmt.Sprintf("cycle %d, %d insns, fnv %016x",
 			st.Result.Cycles, st.Result.Insns, st.Result.ConsoleFNV)
 	case st.State == jobd.StateFailed:
-		return fmt.Sprintf("%s: %s", st.Kind, st.Error)
+		d = fmt.Sprintf("%s: %s", st.Kind, st.Error)
 	case st.State == jobd.StateRunning && st.PID != 0:
-		return fmt.Sprintf("pid %d", st.PID)
-	default:
-		return ""
+		d = fmt.Sprintf("pid %d", st.PID)
+	case st.Kind != "":
+		d = fmt.Sprintf("last exit %s: %s", st.Kind, st.Error)
 	}
+	if st.Adopted {
+		d = strings.TrimSpace(d + " (adopted)")
+	}
+	return d
 }

@@ -12,7 +12,8 @@
 //	ptlserve -addr 127.0.0.1:7483 -data /var/lib/ptlserve
 //	curl -d '{"scale":"small","mode":"sim"}' localhost:7483/jobs
 //	curl localhost:7483/jobs/0001
-//	ptlmon -journal /var/lib/ptlserve/service.jsonl
+//	ptlmon -inspect /var/lib/ptlserve                  # jobs, from the job store
+//	ptlmon -journal /var/lib/ptlserve/service.jsonl    # service events
 //	ptlmon -inspect /var/lib/ptlserve/jobs/0001/ckpt
 package main
 
@@ -48,7 +49,7 @@ func main() {
 		compactN   = flag.Int("compact-every", 256, "compact the durable job store after this many log records")
 		tenQueued  = flag.Int("tenant-queued", 0, "default per-tenant queued-job quota (0 = unlimited; past it: HTTP 429)")
 		tenRunning = flag.Int("tenant-running", 0, "default per-tenant running-job cap (0 = unlimited)")
-		journalOut = flag.String("journal", "", "append the service job journal (JSONL) to this file (default <data>/service.jsonl)")
+		journalOut = flag.String("journal", "", "append the service journal (JSONL: rejections, recoveries, breaker trips, drain) to this file (default <data>/service.jsonl)")
 		drainWait  = flag.Duration("drain-timeout", 2*time.Minute, "SIGTERM: how long running jobs get to finish before workers are stopped")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 

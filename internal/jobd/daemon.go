@@ -77,8 +77,10 @@ type Config struct {
 	// compactions (default 256 records), which bounds startup replay.
 	CompactEvery int
 
-	// Journal receives the service's JSONL job journal (nil = none),
-	// in the supervisor entry format ptlmon -journal renders.
+	// Journal receives the service's JSONL journal (nil = none), in the
+	// supervisor entry format ptlmon -journal renders: rejections,
+	// recovery, breaker trips, drain and job-store write failures —
+	// what is not a job. A job's life is the store's records.
 	Journal io.Writer
 }
 
@@ -218,7 +220,7 @@ type Daemon struct {
 	queue *admitQueue
 
 	mu        sync.Mutex
-	jobs      map[string]*job // jobs admitted or recovered unfinished by this incarnation
+	jobs      map[string]*job // unfinished jobs this incarnation admitted or recovered
 	resume    []resumeInfo    // recovered running jobs, launched by Start
 	draining  bool
 	nextID    int
@@ -599,8 +601,6 @@ func (d *Daemon) SubmitKey(spec Spec, idemKey string) (Status, bool, error) {
 	d.mu.Unlock()
 
 	d.count("jobd.jobs.submitted")
-	d.journal.Append(supervisor.Entry{Event: supervisor.EventJobSubmit, Job: j.id,
-		Tenant: tenant, Started: st.SubmittedAt, Message: fmt.Sprintf("config %#x", key)})
 	return st, false, nil
 }
 
@@ -715,8 +715,15 @@ func (d *Daemon) count(path string) {
 // directory while the classification is retryable and the respawn
 // budget lasts. orph, when non-nil, is a recovered running job's
 // recorded worker: the first iteration adopts or buries it instead of
-// spawning a fresh one.
+// spawning a fresh one. Every return follows completeJob or failJob, and
+// a finished job needs no runtime handle: dropping it keeps d.jobs, and
+// drain's walk over it, to the jobs that can still have a worker.
 func (d *Daemon) runJob(j *job, orph *orphan) {
+	defer func() {
+		d.mu.Lock()
+		delete(d.jobs, j.id)
+		d.mu.Unlock()
+	}()
 	jobDir := filepath.Join(d.cfg.Dir, "jobs", j.id)
 	if err := os.MkdirAll(jobDir, 0o755); err != nil {
 		d.failJob(j, "error", fmt.Sprintf("job dir: %v", err), false)
@@ -757,11 +764,8 @@ func (d *Daemon) runJob(j *job, orph *orphan) {
 		}
 
 		d.count("jobd.workers.exit." + fail.Kind)
-		d.commit(Record{Op: opExit, Job: j.id, Attempt: attempt,
-			Kind: fail.Kind, Message: fail.Message})
-		d.journal.Append(supervisor.Entry{Event: supervisor.EventWorkerExit, Job: j.id,
-			Attempt: attempt, Kind: fail.Kind, Message: fail.Message,
-			Retryable: fail.Retryable, Cycle: fail.Cycle, RIP: fail.RIP})
+		d.commit(Record{Op: opExit, Job: j.id, Attempt: attempt, Kind: fail.Kind,
+			Message: fail.Message, Retryable: fail.Retryable, Cycle: fail.Cycle, RIP: fail.RIP})
 
 		if !fail.Retryable || attempt > j.restarts || isClosed(j.cancel) {
 			// Interrupted jobs (daemon drain) say nothing about the
@@ -771,8 +775,6 @@ func (d *Daemon) runJob(j *job, orph *orphan) {
 			return
 		}
 		d.count("jobd.jobs.retried")
-		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobRetry, Job: j.id,
-			Attempt: attempt, Message: "respawning from rotated checkpoints"})
 	}
 }
 
@@ -822,12 +824,7 @@ func (d *Daemon) superviseWorker(j *job, jobDir string, attempt int) (*Result, e
 	// guard: a future daemon incarnation adopts the orphan only when
 	// both still match.
 	pidStart, _ := procStartTime(pid)
-	if st, err := d.commit(Record{Op: opStart, Job: j.id, Attempt: attempt,
-		PID: pid, PIDStart: pidStart}); err == nil {
-		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobStart, Job: j.id,
-			Attempt: attempt, PID: pid, Started: start.UTC().Format(time.RFC3339Nano),
-			Tenant: tenantName(j.spec.Tenant), QueueWaitMs: st.QueueWaitMs})
-	}
+	d.commit(Record{Op: opStart, Job: j.id, Attempt: attempt, PID: pid, PIDStart: pidStart})
 
 	waitDone := make(chan error, 1)
 	go func() { waitDone <- cmd.Wait() }()
@@ -928,18 +925,10 @@ func (d *Daemon) checkWorkerBudgets(j *job, jobDir string, pid int, start time.T
 func (d *Daemon) superviseOrphan(j *job, jobDir string, o orphan) (*Result, error) {
 	if !sameProcess(o.pid, o.pidStart) {
 		d.count("jobd.jobs.reaped")
-		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobRetry, Job: j.id,
-			Attempt: o.attempt, PID: o.pid,
-			Message: "recorded worker dead or pid reused; resuming from rotated checkpoints"})
 		return d.classifyExit(j, jobDir, errors.New("while the daemon was down"), nil)
 	}
 	d.count("jobd.jobs.adopted")
-	if _, err := d.commit(Record{Op: opAdopt, Job: j.id, Attempt: o.attempt,
-		PID: o.pid, PIDStart: o.pidStart}); err == nil {
-		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobAdopt, Job: j.id,
-			Attempt: o.attempt, PID: o.pid,
-			Message: "orphan worker adopted after daemon restart"})
-	}
+	d.commit(Record{Op: opAdopt, Job: j.id, Attempt: o.attempt, PID: o.pid, PIDStart: o.pidStart})
 	start := o.started
 	if start.IsZero() {
 		start = time.Now()
@@ -1002,24 +991,13 @@ func (d *Daemon) completeJob(j *job, res *Result) {
 		d.noteLatency(time.Since(parseRFC3339(st.SubmittedAt)).Milliseconds())
 	}
 	d.count("jobd.jobs.done")
-	st, err := d.commit(Record{Op: opDone, Job: j.id, Result: res, Phase: StateDone})
-	if err != nil {
-		return
-	}
-	d.journal.Append(supervisor.Entry{Event: supervisor.EventJobDone, Job: j.id,
-		Cycle: res.Cycles, Insns: res.Insns, Tenant: tenantName(j.spec.Tenant),
-		QueueWaitMs: st.QueueWaitMs, Started: st.SubmittedAt, ElapsedMs: st.ElapsedMs})
+	d.commit(Record{Op: opDone, Job: j.id, Result: res, Phase: StateDone})
 }
 
 func (d *Daemon) failJob(j *job, kind, message string, breaker bool) {
 	d.queue.done(j.spec.Tenant)
 	d.count("jobd.jobs.failed")
-	if st, err := d.commit(Record{Op: opFail, Job: j.id, Kind: kind, Message: message,
-		Phase: StateFailed}); err == nil {
-		d.journal.Append(supervisor.Entry{Event: supervisor.EventJobFail, Job: j.id,
-			Kind: kind, Message: message, Tenant: tenantName(j.spec.Tenant),
-			QueueWaitMs: st.QueueWaitMs, Started: st.SubmittedAt, ElapsedMs: st.ElapsedMs})
-	}
+	d.commit(Record{Op: opFail, Job: j.id, Kind: kind, Message: message, Phase: StateFailed})
 	switch {
 	case breaker:
 		if d.breaker.Failure(j.key) {

@@ -12,8 +12,9 @@
 // Around that core sit the serving-robustness pieces: a bounded job
 // queue with backpressure, per-job wall-clock deadlines, a per-worker
 // memory budget (GOMEMLIMIT plus RSS polling), a per-config circuit
-// breaker, graceful drain, and a JSONL job journal in the shared
-// supervisor entry format so ptlmon -journal renders service runs.
+// breaker, graceful drain, the durable job store — the only account of
+// a job's state and history — and, for what is not a job, a JSONL
+// service journal in the shared supervisor entry format.
 package jobd
 
 import (

@@ -145,8 +145,7 @@ func drainDaemon(t *testing.T, d *Daemon) {
 }
 
 func TestJobCompletes(t *testing.T) {
-	jb := &syncBuffer{}
-	d := newDaemon(t, jb, nil)
+	d := newDaemon(t, nil, nil)
 	st, err := d.Submit(smallSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -196,29 +195,15 @@ func TestJobCompletes(t *testing.T) {
 		t.Fatalf("GET /jobs/9999: %v %v", resp.StatusCode, err)
 	}
 
-	// Journal: submit → start → done, in the shared entry format. The
-	// job_done entry is written after the terminal store record that
-	// makes done visible, so wait for that entry rather than reading
-	// the journal once.
-	var sawSubmit, sawStart, sawDone bool
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		for _, e := range jb.entries(t) {
-			switch e.Event {
-			case supervisor.EventJobSubmit:
-				sawSubmit = true
-			case supervisor.EventJobStart:
-				sawStart = e.PID > 0
-			case supervisor.EventJobDone:
-				sawDone = e.Job == st.ID && e.Insns > 0
-			}
-		}
-		if sawDone || time.Now().After(deadline) {
-			break
-		}
-	}
-	if !sawSubmit || !sawStart || !sawDone {
-		t.Fatalf("journal missing lifecycle events: submit=%v start=%v done=%v",
-			sawSubmit, sawStart, sawDone)
+	// The job's own account, its store records: accept → start → done,
+	// in that order and nothing else.
+	recs, terminal, _, _ := d.Store().EventsWatch(st.ID, 0)
+	if !terminal || len(recs) != 3 ||
+		recs[0].Op != opAccept ||
+		recs[1].Op != opStart || recs[1].PID <= 0 ||
+		recs[2].Op != opDone || recs[2].Result == nil || recs[2].Result.Insns <= 0 {
+		t.Fatalf("store records are not accept, start (pid > 0), done (insns > 0): terminal=%v %+v",
+			terminal, recs)
 	}
 }
 
@@ -248,8 +233,7 @@ func TestWorkerKilledMidJobResumesBitIdentical(t *testing.T) {
 		t.Fatalf("clean run missing success marker:\n%s", clean.Console)
 	}
 
-	jb := &syncBuffer{}
-	d := newDaemon(t, jb, nil) // Workers: 1 — the bystander queues behind the victim
+	d := newDaemon(t, nil, nil) // Workers: 1 — the bystander queues behind the victim
 	victim, err := d.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -312,22 +296,19 @@ func TestWorkerKilledMidJobResumesBitIdentical(t *testing.T) {
 		t.Fatal("bystander guest output differs from clean run")
 	}
 
-	// The death was journaled as an abnormal worker exit (panic — an
-	// unexplained SIGKILL) followed by a retry.
-	var sawExit, sawRetry bool
-	for _, e := range jb.entries(t) {
-		if e.Job != victim.ID {
-			continue
-		}
-		if e.Event == supervisor.EventWorkerExit && e.Kind == "panic" && e.Retryable {
-			sawExit = true
-		}
-		if e.Event == supervisor.EventJobRetry {
-			sawRetry = true
+	// The death is on the job's record: an abnormal worker exit (panic —
+	// an unexplained SIGKILL), retryable, and the respawn right after it.
+	recs, _, _, _ := d.Store().EventsWatch(victim.ID, 0)
+	sawRetry := false
+	for i, rec := range recs[:len(recs)-1] {
+		if rec.Op == opExit && rec.Kind == "panic" && rec.Retryable {
+			next := recs[i+1]
+			sawRetry = next.Op == opStart && next.Attempt == 2
+			break
 		}
 	}
-	if !sawExit || !sawRetry {
-		t.Fatalf("journal missing death/retry: worker_exit=%v job_retry=%v", sawExit, sawRetry)
+	if !sawRetry {
+		t.Fatalf("store records miss a retryable panic exit followed by the start of attempt 2: %+v", recs)
 	}
 	if n := d.Counters()["jobd.jobs.retried"]; n < 1 {
 		t.Fatalf("jobd.jobs.retried = %d", n)

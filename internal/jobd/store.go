@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -59,6 +58,13 @@ type Record struct {
 	Message  string  `json:"message,omitempty"`
 	Result   *Result `json:"result,omitempty"`
 	Phase    State   `json:"phase,omitempty"` // state/terminal records: the job's phase
+
+	// exit records: the rest of the worker's Failure — whether the daemon
+	// may respawn, and where in the guest it happened when the worker
+	// could say.
+	Retryable bool   `json:"retryable,omitempty"`
+	Cycle     uint64 `json:"cycle,omitempty"`
+	RIP       uint64 `json:"rip,omitempty"`
 }
 
 // JobState is the materialized per-job state the WAL replays into —
@@ -131,6 +137,11 @@ type JobStore struct {
 	events      map[string][]Record // per-job replayable event history
 	skipped     int                 // unparseable lines tolerated during replay
 	watch       chan struct{}       // closed and replaced on every append
+
+	// collapsedSeq is the newest snapshot's sequence number: the next
+	// compaction collapses the event history of finished jobs with no
+	// record past it.
+	collapsedSeq int64
 }
 
 // Compactions reports how many snapshot compactions this incarnation
@@ -173,9 +184,11 @@ func OpenJobStore(dir string, compactEvery int) (*JobStore, error) {
 }
 
 // ReadJobStore replays a store read-only (no files are created or
-// opened for writing) — the ptlmon -inspect entry point. The int is
-// the count of unparseable log lines skipped (torn writes).
-func ReadJobStore(dir string) ([]JobState, int, error) {
+// opened for writing) and answers with every job's Status in acceptance
+// order, through the same view a daemon on that directory serves — the
+// ptlmon -inspect entry point. The int is the count of unparseable log
+// lines skipped (torn writes).
+func ReadJobStore(dir string) ([]Status, int, error) {
 	s := &JobStore{
 		dir:    dir,
 		jobs:   map[string]*JobState{},
@@ -185,7 +198,7 @@ func ReadJobStore(dir string) ([]JobState, int, error) {
 	if err := s.replay(); err != nil {
 		return nil, 0, err
 	}
-	return s.Jobs(), s.skipped, nil
+	return s.statuses("", 0), s.skipped, nil
 }
 
 // replay loads the snapshot (if any) and applies log records past its
@@ -206,13 +219,9 @@ func (s *JobStore) replay() error {
 			if js.IdemKey != "" {
 				s.idem[js.IdemKey] = js.ID
 			}
-			// The compacted-away history is summarized as one synthetic
-			// state record so event-stream clients reconnecting with an
-			// old Last-Event-ID still get the job's current phase.
-			s.events[js.ID] = []Record{{Seq: snap.LastSeq, Op: opState, Job: js.ID,
-				Phase: js.Phase, Attempt: js.Attempt, PID: js.PID,
-				Kind: js.Kind, Message: js.Error, Result: js.Result}}
+			s.events[js.ID] = []Record{stateRecord(js, snap.LastSeq)}
 		}
+		s.collapsedSeq = snap.LastSeq
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("jobd: store snapshot: %w", err)
 	}
@@ -251,17 +260,31 @@ func (s *JobStore) replay() error {
 	return sc.Err()
 }
 
+// stateRecord summarizes a job's compacted-away history as one synthetic
+// record stamped with the compaction's sequence number, so event-stream
+// clients reconnecting with an old Last-Event-ID still get the job's
+// current phase.
+func stateRecord(js *JobState, seq int64) Record {
+	return Record{Seq: seq, Op: opState, Job: js.ID, Phase: js.Phase, Attempt: js.Attempt,
+		PID: js.PID, Kind: js.Kind, Message: js.Error, Result: js.Result}
+}
+
 // apply folds one record into the materialized state and the per-job
-// event history.
+// event history. Only an accept record can introduce a job: anything
+// else naming a job the store has never accepted is dropped whole.
 func (s *JobStore) apply(rec Record) {
 	js := s.jobs[rec.Job]
+	if js == nil {
+		if rec.Op != opAccept {
+			return
+		}
+		js = &JobState{ID: rec.Job}
+		s.jobs[rec.Job] = js
+		s.order = append(s.order, rec.Job)
+		s.events[rec.Job] = make([]Record, 0, 3) // a clean job's whole life: accept, start, done
+	}
 	switch rec.Op {
 	case opAccept:
-		if js == nil {
-			js = &JobState{ID: rec.Job}
-			s.jobs[rec.Job] = js
-			s.order = append(s.order, rec.Job)
-		}
 		if rec.Spec != nil {
 			js.Spec = *rec.Spec
 		}
@@ -272,9 +295,6 @@ func (s *JobStore) apply(rec Record) {
 			s.idem[rec.IdemKey] = rec.Job
 		}
 	case opStart:
-		if js == nil {
-			return
-		}
 		js.Phase = StateRunning
 		js.Attempt = rec.Attempt
 		js.PID = rec.PID
@@ -284,25 +304,16 @@ func (s *JobStore) apply(rec Record) {
 		}
 		js.StartedAt = rec.Time
 	case opAdopt:
-		if js == nil {
-			return
-		}
 		js.Phase = StateRunning
 		js.PID = rec.PID
 		js.PIDStart = rec.PIDStart
 		js.Adopted = true
 	case opExit:
-		if js == nil {
-			return
-		}
 		js.PID = 0
 		js.PIDStart = 0
 		js.Kind = rec.Kind
 		js.Error = rec.Message
 	case opDone:
-		if js == nil {
-			return
-		}
 		js.Phase = StateDone
 		js.PID = 0
 		js.PIDStart = 0
@@ -311,9 +322,6 @@ func (s *JobStore) apply(rec Record) {
 		js.Result = rec.Result
 		js.FinishedAt = rec.Time
 	case opFail:
-		if js == nil {
-			return
-		}
 		js.Phase = StateFailed
 		js.PID = 0
 		js.PIDStart = 0
@@ -324,9 +332,7 @@ func (s *JobStore) apply(rec Record) {
 		// Synthetic snapshot summary; state already loaded from the
 		// snapshot file. Only the event history carries it.
 	}
-	if rec.Job != "" {
-		s.events[rec.Job] = append(s.events[rec.Job], rec)
-	}
+	s.events[rec.Job] = append(s.events[rec.Job], rec)
 }
 
 // Append stamps, persists (write + fsync), and applies one record,
@@ -401,6 +407,26 @@ func (s *JobStore) compact() error {
 	s.f = f
 	s.appended = 0
 	s.compactions++
+	// The snapshot now says everything the event history of a finished
+	// job says, so that history shrinks to what a reopened store would
+	// hold: the one state record. Only for jobs untouched since the
+	// *previous* compaction — a follower woken by a terminal record, the
+	// one that triggered this compaction included, must still find it
+	// here as itself when it gets the lock — and only for finished jobs:
+	// the unfinished are bounded by the queue and the worker pool, and
+	// their followers are the ones still reading.
+	for id, evs := range s.events {
+		js := s.jobs[id]
+		if !js.terminal() || evs[len(evs)-1].Seq > s.collapsedSeq {
+			continue
+		}
+		if len(evs) == 1 && evs[0].Op == opState {
+			evs[0].Seq = s.seq // collapsed before: only the stamp moves
+		} else {
+			s.events[id] = []Record{stateRecord(js, s.seq)}
+		}
+	}
+	s.collapsedSeq = s.seq
 	return nil
 }
 
@@ -613,18 +639,4 @@ func (s *JobStore) EventsWatch(job string, after int64) (recs []Record, terminal
 		}
 	}
 	return recs, js.terminal(), s.watch, true
-}
-
-// SortedJobStates orders states by numeric ID (for rendering).
-func SortedJobStates(states []JobState) []JobState {
-	out := append([]JobState(nil), states...)
-	sort.Slice(out, func(i, j int) bool {
-		a, _ := strconv.Atoi(out[i].ID)
-		b, _ := strconv.Atoi(out[j].ID)
-		if a != b {
-			return a < b
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }

@@ -108,16 +108,16 @@ func TestStoreCompactionBoundsLogAndSurvivesReplay(t *testing.T) {
 	if len(states) != 5 {
 		t.Fatalf("replayed %d jobs, want 5", len(states))
 	}
-	byID := map[string]JobState{}
-	for _, js := range states {
-		byID[js.ID] = js
+	byID := map[string]Status{}
+	for _, st := range states {
+		byID[st.ID] = st
 	}
-	if byID["0001"].Phase != StateDone || byID["0001"].Result.Cycles != 7 {
+	if byID["0001"].State != StateDone || byID["0001"].Result.Cycles != 7 {
 		t.Fatalf("compacted job 0001 wrong: %+v", byID["0001"])
 	}
 	for _, id := range []string{"0002", "0003", "0004", "0005"} {
-		if byID[id].Phase != StateQueued {
-			t.Fatalf("job %s phase %s, want queued", id, byID[id].Phase)
+		if byID[id].State != StateQueued {
+			t.Fatalf("job %s state %s, want queued", id, byID[id].State)
 		}
 	}
 

@@ -4,6 +4,12 @@
 // interrupts and the final outcome. One JSON object per line makes it
 // greppable mid-run (tail -f) and trivially machine-readable afterwards
 // (cmd/ptlmon -journal renders the attempt history from it).
+//
+// The job daemon, the fleet dispatcher and the conformance fuzzer
+// append their own events in the same format, each the only account of
+// what it records. The daemon's journal holds service events only: a
+// job's life is the job store's records (internal/jobd), not entries
+// here.
 package supervisor
 
 import (
@@ -32,19 +38,16 @@ const (
 )
 
 // Service journal event names: the job daemon (internal/jobd) appends
-// these to the same JSONL stream format, so ptlmon -journal renders a
-// ptlserve run journal with the same machinery as a single supervised
-// run. Job-scoped events carry the job ID in Entry.Job.
+// these to the same JSONL stream format. They are the daemon's account
+// of what is *not* a job — a rejected submission never becomes one, and
+// recovery, drain and a tripped breaker concern the service as a whole.
+// What happened to a job is in the job store's records and nowhere
+// else (ptlmon -inspect / -addr render those), so no entry here
+// repeats one; a job-store record that could not be written is an
+// EventFailure of kind "store".
 const (
-	EventJobSubmit   = "job_submit"   // job admitted into the queue
-	EventJobStart    = "job_start"    // worker process spawned for a job attempt
-	EventWorkerExit  = "worker_exit"  // worker died abnormally (kind = classification)
-	EventJobRetry    = "job_retry"    // job re-admitted from its rotated checkpoint dir
-	EventJobAdopt    = "job_adopt"    // restarted daemon re-attached a live orphan worker
 	EventRecover     = "recover"      // daemon start replayed the durable job store
-	EventJobDone     = "job_done"     // job completed (elapsed_ms = end-to-end latency)
-	EventJobFail     = "job_fail"     // job failed terminally
-	EventReject      = "reject"       // submission rejected (kind = queue-full|draining|breaker)
+	EventReject      = "reject"       // submission rejected (kind = queue-full|tenant-quota|deadline-shed|draining|breaker|stale-epoch)
 	EventBreakerOpen = "breaker_open" // circuit breaker opened for a workload config
 	EventDrain       = "drain"        // daemon drain began / completed
 )
@@ -84,31 +87,24 @@ const (
 // the event.
 type Entry struct {
 	Time string `json:"time,omitempty"` // wall clock, RFC3339Nano
-	// Started is the wall-clock time the surrounding run (or, for
-	// service entries, the job attempt) started; ElapsedMs is the
-	// wall-clock milliseconds since then. Append stamps both from the
-	// journal's own start when the writer leaves them zero, so every
-	// journal carries enough to compute per-run and per-job latency.
+	// Started is the wall-clock time the journal's run started (its
+	// first Append); ElapsedMs is the wall-clock milliseconds since
+	// then, unless the writer measured a span of its own.
 	Started   string `json:"started,omitempty"`
 	ElapsedMs int64  `json:"elapsed_ms,omitempty"`
 	Event     string `json:"event"`
 	Attempt   int    `json:"attempt,omitempty"`
-	Job       string `json:"job,omitempty"` // service: job ID the entry belongs to
-	PID       int    `json:"pid,omitempty"` // service: worker process ID
-	// Service multi-tenant admission detail: the job's tenant account
-	// and how long it waited in the admission queue before its first
-	// worker attempt started.
-	Tenant      string `json:"tenant,omitempty"`
-	QueueWaitMs int64  `json:"queue_wait_ms,omitempty"`
-	Cycle       uint64 `json:"cycle,omitempty"`
-	Insns       int64  `json:"insns,omitempty"`
-	Kind        string `json:"kind,omitempty"` // simerr failure kind
-	Message     string `json:"message,omitempty"`
-	Slot        string `json:"slot,omitempty"`       // checkpoint file involved
-	BackoffMs   int64  `json:"backoff_ms,omitempty"` // delay before the retry
-	FromCycle   uint64 `json:"from_cycle,omitempty"` // degraded window start
-	ToCycle     uint64 `json:"to_cycle,omitempty"`   // degraded window end
-	Retryable   bool   `json:"retryable,omitempty"`
+	Job       string `json:"job,omitempty"`    // job or campaign cell the entry concerns
+	Tenant    string `json:"tenant,omitempty"` // service: the rejected submission's tenant
+	Cycle     uint64 `json:"cycle,omitempty"`
+	Insns     int64  `json:"insns,omitempty"`
+	Kind      string `json:"kind,omitempty"` // simerr failure kind
+	Message   string `json:"message,omitempty"`
+	Slot      string `json:"slot,omitempty"`       // checkpoint file involved
+	BackoffMs int64  `json:"backoff_ms,omitempty"` // delay before the retry
+	FromCycle uint64 `json:"from_cycle,omitempty"` // degraded window start
+	ToCycle   uint64 `json:"to_cycle,omitempty"`   // degraded window end
+	Retryable bool   `json:"retryable,omitempty"`
 
 	// Self-check failure detail (failure events with a divergence or
 	// invariant kind) and triage results.
@@ -139,11 +135,11 @@ func NewJournal(w io.Writer) *Journal {
 }
 
 // Append writes one entry, stamping it with the current time plus the
-// run-relative wall-clock fields (Started = first-append time,
-// ElapsedMs = milliseconds since then) unless the writer set them
-// itself — the job daemon stamps job-relative values. Journal write
-// failures are reported but are deliberately non-fatal to the
-// supervised run: losing history must not lose the run itself.
+// run-relative wall-clock fields: Started = first-append time, and
+// ElapsedMs = milliseconds since then unless the writer set a span it
+// measured itself (a fuzz shrink's duration). Journal write failures
+// are reported but are deliberately non-fatal to the supervised run:
+// losing history must not lose the run itself.
 func (j *Journal) Append(e Entry) error {
 	if j == nil || j.w == nil {
 		return nil
@@ -155,9 +151,7 @@ func (j *Journal) Append(e Entry) error {
 		j.start = now
 	}
 	e.Time = now.UTC().Format(time.RFC3339Nano)
-	if e.Started == "" {
-		e.Started = j.start.UTC().Format(time.RFC3339Nano)
-	}
+	e.Started = j.start.UTC().Format(time.RFC3339Nano)
 	if e.ElapsedMs == 0 {
 		e.ElapsedMs = now.Sub(j.start).Milliseconds()
 	}

@@ -30,12 +30,10 @@ func WriteReport(w io.Writer, entries []Entry, tail int) {
 		triages                          []Entry
 		outcome                          = "in progress (or writer crashed hard)"
 
-		// Service (job daemon) accounting.
-		jobsSubmitted, jobsDone, jobsFailed int
-		jobRetries, workerExits, rejects    int
-		breakerOpens, adoptions, recoveries int
-		jobLines                            []string
-		elapsedMs                           int64
+		// Service (job daemon) accounting: what is not a job. Jobs are
+		// rendered from the job store (ptlmon -inspect / -addr).
+		rejects, breakerOpens, recoveries int
+		elapsedMs                         int64
 
 		// Fleet campaign accounting. Per-cell done events are counted,
 		// not echoed — a 1,000-job sweep must render as a summary, so
@@ -93,32 +91,8 @@ func WriteReport(w io.Writer, entries []Entry, tail int) {
 		case EventGiveUp:
 			outcome = "gave up: " + e.Message
 
-		case EventJobSubmit:
-			jobsSubmitted++
-		case EventWorkerExit:
-			workerExits++
-			kind := e.Kind
-			if kind == "" {
-				kind = "error"
-			}
-			failures[kind]++
-			if e.Retryable {
-				retryable++
-			}
-		case EventJobRetry:
-			jobRetries++
-		case EventJobAdopt:
-			adoptions++
 		case EventRecover:
 			recoveries++
-		case EventJobDone:
-			jobsDone++
-			jobLines = append(jobLines, fmt.Sprintf("job %s%s done in %dms%s (cycle %d, %d instructions)",
-				e.Job, tenantTag(e.Tenant), e.ElapsedMs, queueWaitTag(e.QueueWaitMs), e.Cycle, e.Insns))
-		case EventJobFail:
-			jobsFailed++
-			jobLines = append(jobLines, fmt.Sprintf("job %s%s failed after %dms%s (%s): %s",
-				e.Job, tenantTag(e.Tenant), e.ElapsedMs, queueWaitTag(e.QueueWaitMs), e.Kind, e.Message))
 		case EventReject:
 			rejects++
 		case EventBreakerOpen:
@@ -204,25 +178,9 @@ func WriteReport(w io.Writer, entries []Entry, tail int) {
 	if degraded > 0 {
 		fmt.Fprintf(w, "  degraded windows: %d (%d cycles on the sequential core)\n", degraded, degradedCycles)
 	}
-	if jobsSubmitted > 0 || jobsDone > 0 || jobsFailed > 0 || rejects > 0 {
-		fmt.Fprintf(w, "  service: %d submitted, %d done, %d failed, %d worker retries, %d rejected",
-			jobsSubmitted, jobsDone, jobsFailed, jobRetries, rejects)
-		if workerExits > 0 {
-			fmt.Fprintf(w, ", %d abnormal worker exits", workerExits)
-		}
-		if breakerOpens > 0 {
-			fmt.Fprintf(w, ", breaker opened %d time(s)", breakerOpens)
-		}
-		if recoveries > 0 {
-			fmt.Fprintf(w, ", %d store recovery(ies)", recoveries)
-		}
-		if adoptions > 0 {
-			fmt.Fprintf(w, ", %d orphan worker(s) adopted", adoptions)
-		}
-		fmt.Fprintln(w)
-		for _, line := range jobLines {
-			fmt.Fprintf(w, "    %s\n", line)
-		}
+	if rejects > 0 || breakerOpens > 0 || recoveries > 0 {
+		fmt.Fprintf(w, "  service: %d rejected, breaker opened %d time(s), %d store recovery(ies)\n",
+			rejects, breakerOpens, recoveries)
 	}
 	if campaignName != "" || cellsDone > 0 || cellsFailed > 0 {
 		fmt.Fprintf(w, "  fleet: %s: %d cell(s) done, %d failed; %d lease(s), %d stolen, %d fenced",
@@ -294,23 +252,6 @@ func WriteReport(w io.Writer, entries []Entry, tail int) {
 	}
 }
 
-// tenantTag renders a job line's tenant suffix (empty for entries
-// predating multi-tenant admission or for the implicit default).
-func tenantTag(tenant string) string {
-	if tenant == "" || tenant == "default" {
-		return ""
-	}
-	return " [" + tenant + "]"
-}
-
-// queueWaitTag renders how long a job sat in the admission queue.
-func queueWaitTag(ms int64) string {
-	if ms <= 0 {
-		return ""
-	}
-	return fmt.Sprintf(" (queued %dms)", ms)
-}
-
 // orUnnamed substitutes a placeholder for an empty campaign name.
 func orUnnamed(name string) string {
 	if name == "" {
@@ -339,9 +280,6 @@ func FormatEntry(e Entry) string {
 	if e.Job != "" {
 		fmt.Fprintf(&b, " job=%s", e.Job)
 	}
-	if e.PID > 0 {
-		fmt.Fprintf(&b, " pid=%d", e.PID)
-	}
 	if e.Cycle > 0 {
 		fmt.Fprintf(&b, " cycle=%d", e.Cycle)
 	}
@@ -365,9 +303,6 @@ func FormatEntry(e Entry) string {
 	}
 	if e.Tenant != "" {
 		fmt.Fprintf(&b, " tenant=%s", e.Tenant)
-	}
-	if e.QueueWaitMs > 0 {
-		fmt.Fprintf(&b, " queue_wait=%dms", e.QueueWaitMs)
 	}
 	if e.BackoffMs > 0 {
 		fmt.Fprintf(&b, " backoff=%dms", e.BackoffMs)

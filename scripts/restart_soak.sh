@@ -161,7 +161,7 @@ for id in $job_ids; do
 done
 echo "   $njobs statuses unchanged"
 
-echo "== recovered store state (ptlmon -inspect)"
+echo "== jobs, from the recovered job store (ptlmon -inspect)"
 "$bin/ptlmon" -inspect "$data" | sed 's/^/   /'
 
 echo "== draining final daemon (SIGTERM)"
@@ -169,6 +169,6 @@ kill -TERM "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
 
-echo "== service journal (survives torn writes from $((round - 1)) crashes)"
+echo "== service events (ptlmon -journal; survives torn writes from $((round - 1)) crashes)"
 "$bin/ptlmon" -journal "$data/service.jsonl" | sed 's/^/   /'
 echo "restart soak: OK ($((round - 1)) daemon crash(es), $njobs jobs, seed $seed)"

@@ -2,7 +2,7 @@
 # ptlserve smoke: boot the job service, submit a small simulation job
 # over HTTP, poll it to completion, check the guest output inside the
 # result, exercise the health/stats endpoints, drain on SIGTERM, and
-# render the service journal through ptlmon.
+# render the job store and the service journal through ptlmon.
 #
 # SERVE_PORT picks the listen port (default 17483). SERVE_DATA pins the
 # service data directory (default: inside the temp build dir) — CI sets
@@ -58,6 +58,9 @@ kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 daemon_pid=""
 
-echo "== service journal"
+echo "== jobs, from the job store (ptlmon -inspect)"
+"$bin/ptlmon" -inspect "$data" | sed 's/^/   /'
+
+echo "== service events (ptlmon -journal)"
 "$bin/ptlmon" -journal "$data/service.jsonl" | sed 's/^/   /'
 echo "serve smoke: OK"
