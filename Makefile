@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify soak serve-smoke restart-soak fuzz-smoke fuzz-soak fleet-soak load-soak obs-smoke ooo-profile
+.PHONY: build test race vet verify soak serve-smoke restart-soak fuzz-smoke fuzz-soak fleet-soak load-soak obs-smoke ooo-profile seq-profile
 
 build:
 	$(GO) build ./...
@@ -90,3 +90,12 @@ fuzz-soak:
 # Output goes to ooo-profile-data/.
 ooo-profile:
 	./scripts/ooo_profile.sh
+
+# seq-profile attributes the functional engine's host time to the
+# functions on its fetch / execute / memory path (Step, fetchBB,
+# execInsn, the vm and mem translation path, the BB-cache lookup) and
+# lists its allocation sites, from BenchmarkSeqStep under pprof: the
+# per-layer view behind benchmark/'s rsync_seq insns_per_s. Output goes
+# to seq-profile-data/.
+seq-profile:
+	./scripts/seq_profile.sh

@@ -1,4 +1,4 @@
-package ooo_test
+package seqcore_test
 
 import (
 	"strings"
@@ -12,19 +12,20 @@ import (
 	"ptlsim/internal/stats"
 )
 
-// BenchmarkCoreCycle is the per-layer benchmark of the out-of-order
-// core loop: whole full-system runs on the K8 core, reported per busy
-// simulated cycle (a Core.Cycle call) and per committed uop, with
-// allocations (per run). The two guests use the loop in opposite ways:
-// rsync keeps the pipeline busy (IPC about 0.7), the memwalk-like
-// pointer chase leaves it stalled on L2 and DTLB misses (IPC about
-// 0.1). `make ooo-profile` runs this under pprof and prints host time
-// by pipeline stage.
-func BenchmarkCoreCycle(b *testing.B) {
+// BenchmarkSeqStep is the per-layer benchmark of the functional
+// engine: whole boot-to-shutdown runs in core.ModeNative, reported per
+// committed x86 instruction, with uops per instruction and allocations
+// (per run). rsync is the benchmark's rsync_seq guest (48 files of
+// 8 KiB); the memwalk-like pointer chase touches 1024 data pages, so
+// it is the guest whose translations do not fit a small cache. `make
+// seq-profile` runs this under pprof and prints host time by function.
+func BenchmarkSeqStep(b *testing.B) {
 	mcfg := core.Config{Core: ooo.K8Config(), NativeCPI: 1, ThreadsPerCore: 1}
 	b.Run("rsync", func(b *testing.B) {
+		cfg := experiments.BenchScale()
+		cfg.Corpus.NFiles = 48
 		benchRuns(b, "rsync ok", func() (*core.Machine, error) {
-			return experiments.Boot(experiments.BenchScale(), mcfg, core.ModeSim)
+			return experiments.Boot(cfg, mcfg, core.ModeNative)
 		})
 	})
 	b.Run("memwalk-like", func(b *testing.B) {
@@ -40,7 +41,7 @@ func BenchmarkCoreCycle(b *testing.B) {
 				return nil, err
 			}
 			m := core.NewMachine(img.Domain, s.Tree, mcfg)
-			m.SwitchMode(core.ModeSim)
+			m.SwitchMode(core.ModeNative)
 			return m, nil
 		})
 	})
@@ -49,7 +50,7 @@ func BenchmarkCoreCycle(b *testing.B) {
 // benchRuns times b.N boot-to-shutdown runs; booting is not timed.
 func benchRuns(b *testing.B, wantConsole string, boot func() (*core.Machine, error)) {
 	b.ReportAllocs()
-	var cycles, uops int64
+	var insns, uops int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		m, err := boot()
@@ -65,10 +66,9 @@ func benchRuns(b *testing.B, wantConsole string, boot func() (*core.Machine, err
 		if !strings.Contains(m.Dom.Console(), wantConsole) {
 			b.Fatalf("guest failed: console %q", m.Dom.Console())
 		}
-		cycles += m.Tree.Lookup("core0.cycles").Value()
-		uops += m.Tree.Lookup("core0.commit.uops").Value()
+		insns += m.Insns()
+		uops += m.Tree.Lookup("seq0.uops").Value()
 	}
-	ns := float64(b.Elapsed().Nanoseconds())
-	b.ReportMetric(ns/float64(cycles), "ns/cycle")
-	b.ReportMetric(ns/float64(uops), "ns/commit-uop")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insns), "ns/insn")
+	b.ReportMetric(float64(uops)/float64(insns), "uops/insn")
 }
