@@ -38,10 +38,11 @@ restart-soak:
 	./scripts/restart_soak.sh
 
 # fuzz-smoke runs each fuzz target briefly (the -fuzz flag accepts one
-# target per invocation) — the decoder, and the two readers of bytes a
-# crash can tear: the job store's replay and the journal reader. A
-# regression smoke over the seed corpus plus a short mutation budget,
-# not a campaign. Longer runs:
+# target per invocation) — the decoder, the two readers of bytes a
+# crash can tear (the job store's replay and the journal reader), and
+# the differential check of the host-side translation cache against
+# bare page walks. A regression smoke over the seed corpus plus a short
+# mutation budget, not a campaign. Longer runs:
 # go test ./internal/decode/ -fuzz FuzzBuildBB -fuzztime 10m
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test ./internal/decode/ -run '^$$' -fuzz '^FuzzBuildBBPaged$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/jobd/ -run '^$$' -fuzz '^FuzzStoreReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/supervisor/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vm/ -run '^$$' -fuzz '^FuzzTranslateCoherent$$' -fuzztime $(FUZZTIME)
 
 # fleet-soak runs a ptlsweep campaign across three ptlserve daemons
 # with a SIGKILL and a chaosnet network partition mid-sweep, verifying

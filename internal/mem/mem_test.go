@@ -96,7 +96,7 @@ func TestPageCrossingAccess(t *testing.T) {
 	_ = m2
 	next := m1 + 1
 	if !pm.Present(next) {
-		pm.pages[next] = &Page{}
+		pm.pages[next] = frame{page: &Page{}}
 	}
 	pa := m1<<PageShift + PageSize - 3
 	if err := pm.Write(pa, 0xAABBCCDDEEFF1122, 8); err != nil {
@@ -342,5 +342,80 @@ func TestMapRejectsBadVA(t *testing.T) {
 	}
 	if err := as.Map(0x1001, 1, 0); err == nil {
 		t.Fatal("unaligned map should fail")
+	}
+}
+
+// The translation generation is the write-side half of vm.Context's
+// host-side translation cache: it must move on every write that can
+// change what a walk returns, and only on those.
+func TestTranslationGenMovesOnMarkedFrameWrites(t *testing.T) {
+	pm := NewPhysMem()
+	pt, data, next := pm.AllocPage(), pm.AllocPage(), pm.AllocPage()
+	moved := func(what string, want bool, op func()) {
+		t.Helper()
+		before := pm.TranslationGen()
+		op()
+		if got := pm.TranslationGen() != before; got != want {
+			t.Fatalf("%s: generation moved = %v, want %v", what, got, want)
+		}
+	}
+	moved("write to an unmarked frame", false, func() { _ = pm.Write(pt<<PageShift, 1, 8) })
+	moved("marking", false, func() { pm.MarkPageTable(pt) })
+	moved("marking twice", false, func() { pm.MarkPageTable(pt) })
+	moved("Write to the marked frame", true, func() { _ = pm.Write(pt<<PageShift+8, 1, 8) })
+	moved("one-byte Write to the marked frame", true, func() { _ = pm.Write(pt<<PageShift+4095, 1, 1) })
+	moved("WriteBytes into the marked frame", true, func() { _ = pm.WriteBytes(pt<<PageShift+100, []byte{1, 2, 3}) })
+	moved("Write to a data frame", false, func() { _ = pm.Write(data<<PageShift, 1, 8) })
+	moved("WriteBytes to a data frame", false, func() { _ = pm.WriteBytes(data<<PageShift, make([]byte, PageSize)) })
+	moved("reads", false, func() {
+		_, _ = pm.Read(pt<<PageShift, 8)
+		_ = pm.ReadBytes(pt<<PageShift, make([]byte, 16))
+	})
+	moved("marking an absent frame", false, func() { pm.MarkPageTable(1 << 30) })
+	if pm.Present(1 << 30) {
+		t.Fatal("MarkPageTable materialised a frame")
+	}
+
+	// A write that only crosses into a marked frame counts. Physically
+	// adjacent frames are rare with the scattered allocator: install one.
+	pm.InstallPage(next+1, nil)
+	pm.MarkPageTable(next + 1)
+	pm.InstallPage(next, nil)
+	moved("Write crossing into a marked frame", true, func() { _ = pm.Write((next+1)<<PageShift-2, 0xAABBCCDD, 4) })
+	moved("WriteBytes running into a marked frame", true, func() { _ = pm.WriteBytes((next+1)<<PageShift-2, []byte{1, 2, 3, 4}) })
+
+	// InstallPage replaces the backing store: the generation moves even
+	// for a data frame, the old *Page no longer belongs to the frame,
+	// and the new page starts unmarked.
+	old := pm.PagePtr(data)
+	moved("InstallPage over a data frame", true, func() { pm.InstallPage(data, []byte{9}) })
+	if pm.PagePtr(data) == old || pm.PagePtr(data)[0] != 9 {
+		t.Fatal("InstallPage did not replace the page")
+	}
+	moved("InstallPage over a marked frame", true, func() { pm.InstallPage(pt, nil) })
+	moved("write to the re-installed, unmarked frame", false, func() { _ = pm.Write(pt<<PageShift, 1, 8) })
+}
+
+func TestPageLoadMatchesRead(t *testing.T) {
+	pm := NewPhysMem()
+	mfn := pm.AllocPage()
+	page := pm.PagePtr(mfn)
+	for i := range page {
+		page[i] = byte(i*7 + 3)
+	}
+	for size := uint8(1); size <= 8; size++ {
+		for _, off := range []uint64{0, 1, 13, PageSize - uint64(size)} {
+			want, err := pm.Read(mfn<<PageShift+off, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bytewise uint64
+			for i := uint64(0); i < uint64(size); i++ {
+				bytewise |= uint64(page[off+i]) << (8 * i)
+			}
+			if got := page.Load(off, size); got != want || got != bytewise {
+				t.Fatalf("Load(%#x, %d) = %#x, Read %#x, bytes %#x", off, size, got, want, bytewise)
+			}
+		}
 	}
 }

@@ -166,6 +166,13 @@ func (w *WalkResult) PhysAddr(va uint64) uint64 {
 // space rooted at cr3 (a physical address). It checks permissions at
 // the leaf and optionally updates A/D bits, exactly as the microcoded
 // walker in the modeled processor does.
+//
+// Walk is the uncached walk: every call reads up to four PTEs. The
+// functional memory path does not call it per access — it goes through
+// vm.Context.Translate, the cached entry point, which walks only on a
+// miss of its host-side translation cache. Direct callers are the
+// out-of-order core's modelled TLB-miss path, which needs the PTE
+// addresses, and address-space maintenance.
 func Walk(pm *PhysMem, cr3, va uint64, acc Access) WalkResult {
 	var w WalkResult
 	if !Canonical(va) {

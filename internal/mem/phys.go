@@ -22,11 +22,24 @@ const (
 // Page is one 4 KiB machine page.
 type Page [PageSize]byte
 
+// frame is one entry of the frame table: the page's backing store
+// and, beside it so that a write's one lookup serves both, whether a
+// host-side translation cache holds an entry derived from a PTE in it.
+type frame struct {
+	page      *Page
+	pageTable bool
+}
+
 // PhysMem is the machine's physical memory: a sparse set of allocated
 // machine pages. All simulator state (guest RAM, page tables, DMA
 // buffers) lives here and is addressed physically.
 type PhysMem struct {
-	pages map[uint64]*Page
+	pages map[uint64]frame
+	// xlateGen is the translation generation: it moves whenever a
+	// cached translation (vm.Context's host-side cache) may have gone
+	// stale — a write into a frame marked as a page table, or a page's
+	// backing store replaced. See MarkPageTable.
+	xlateGen uint64
 	// MFN allocation state: a deterministic linear-congruential walk
 	// over a window of frame numbers produces scattered MFNs like a
 	// real hypervisor under memory pressure.
@@ -36,7 +49,7 @@ type PhysMem struct {
 
 // NewPhysMem creates an empty physical memory.
 func NewPhysMem() *PhysMem {
-	return &PhysMem{pages: make(map[uint64]*Page), salt: 0x9E3779B97F4A7C15}
+	return &PhysMem{pages: make(map[uint64]frame), salt: 0x9E3779B97F4A7C15}
 }
 
 // AllocPage allocates a fresh zeroed machine page and returns its MFN.
@@ -52,7 +65,7 @@ func (pm *PhysMem) AllocPage() uint64 {
 		if _, ok := pm.pages[mfn]; ok {
 			continue
 		}
-		pm.pages[mfn] = &Page{}
+		pm.pages[mfn] = frame{page: &Page{}}
 		return mfn
 	}
 }
@@ -83,17 +96,39 @@ func (pm *PhysMem) ForEachPage(f func(mfn uint64, page *Page)) {
 	}
 	sort.Slice(mfns, func(i, j int) bool { return mfns[i] < mfns[j] })
 	for _, mfn := range mfns {
-		f(mfn, pm.pages[mfn])
+		f(mfn, pm.pages[mfn].page)
 	}
 }
 
 // InstallPage materializes a page at a specific MFN with the given
-// contents (checkpoint restore). Shorter data is zero-padded.
+// contents (checkpoint restore). Shorter data is zero-padded. The
+// frame gets a new backing store, so the translation generation moves:
+// a cached *Page for this MFN would dangle.
 func (pm *PhysMem) InstallPage(mfn uint64, data []byte) {
 	p := &Page{}
 	copy(p[:], data)
-	pm.pages[mfn] = p
+	pm.pages[mfn] = frame{page: p}
+	pm.xlateGen++
 }
+
+// MarkPageTable records that a translation cache is about to hold an
+// entry derived from a PTE in frame mfn: from now on every Write or
+// WriteBytes touching the frame moves TranslationGen. This is the one
+// write-side coherence hook of vm.Context's host-side translation
+// cache, the same shape as bbcache.IsCodePage's store-side SMC check;
+// marks are sticky (a superset of the live page-table frames is safe).
+func (pm *PhysMem) MarkPageTable(mfn uint64) {
+	if f := pm.pages[mfn]; f.page != nil && !f.pageTable {
+		f.pageTable = true
+		pm.pages[mfn] = f
+	}
+}
+
+// TranslationGen returns the translation generation. A translation
+// cached at generation g, from a walk whose PTE frames were all marked
+// before g was read, is still what a fresh walk would return while the
+// generation equals g.
+func (pm *PhysMem) TranslationGen() uint64 { return pm.xlateGen }
 
 // Present reports whether mfn is an allocated machine page.
 func (pm *PhysMem) Present(mfn uint64) bool {
@@ -105,7 +140,7 @@ func (pm *PhysMem) Present(mfn uint64) bool {
 func (pm *PhysMem) NumPages() int { return len(pm.pages) }
 
 // PagePtr returns the backing page for mfn, or nil if unallocated.
-func (pm *PhysMem) PagePtr(mfn uint64) *Page { return pm.pages[mfn] }
+func (pm *PhysMem) PagePtr(mfn uint64) *Page { return pm.pages[mfn].page }
 
 // errBadPhys formats an unmapped-physical-address error.
 func errBadPhys(pa uint64) error {
@@ -119,25 +154,16 @@ func errBadPhys(pa uint64) error {
 func (pm *PhysMem) Read(pa uint64, size uint8) (uint64, error) {
 	off := pa & PageMask
 	if off+uint64(size) <= PageSize {
-		page := pm.pages[pa>>PageShift]
+		page := pm.pages[pa>>PageShift].page
 		if page == nil {
 			return 0, errBadPhys(pa)
 		}
-		switch size {
-		case 1:
-			return uint64(page[off]), nil
-		case 2:
-			return uint64(binary.LittleEndian.Uint16(page[off:])), nil
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(page[off:])), nil
-		case 8:
-			return binary.LittleEndian.Uint64(page[off:]), nil
-		}
+		return page.Load(off, size), nil
 	}
-	// Page-crossing or odd-sized access: assemble byte by byte.
+	// Page-crossing access: assemble byte by byte.
 	var v uint64
 	for i := uint8(0); i < size; i++ {
-		page := pm.pages[(pa+uint64(i))>>PageShift]
+		page := pm.pages[(pa+uint64(i))>>PageShift].page
 		if page == nil {
 			return 0, errBadPhys(pa + uint64(i))
 		}
@@ -146,11 +172,33 @@ func (pm *PhysMem) Read(pa uint64, size uint8) (uint64, error) {
 	return v, nil
 }
 
+// Load reads size bytes (at most 8) at offset off of the page,
+// zero-extended; off+size must not exceed PageSize. It is the read
+// both PhysMem.Read and a translation-cache hit (which already holds
+// the host page) end in.
+func (p *Page) Load(off uint64, size uint8) uint64 {
+	switch size {
+	case 1:
+		return uint64(p[off])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(p[off:]))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(p[off:]))
+	case 8:
+		return binary.LittleEndian.Uint64(p[off:])
+	}
+	var v uint64
+	for i := uint64(0); i < uint64(size); i++ {
+		v |= uint64(p[off+i]) << (8 * i)
+	}
+	return v
+}
+
 // Write writes the low size bytes of v at physical address pa.
 func (pm *PhysMem) Write(pa uint64, v uint64, size uint8) error {
 	off := pa & PageMask
 	if off+uint64(size) <= PageSize {
-		page := pm.pages[pa>>PageShift]
+		page := pm.writable(pa >> PageShift)
 		if page == nil {
 			return errBadPhys(pa)
 		}
@@ -171,7 +219,7 @@ func (pm *PhysMem) Write(pa uint64, v uint64, size uint8) error {
 		return nil
 	}
 	for i := uint8(0); i < size; i++ {
-		page := pm.pages[(pa+uint64(i))>>PageShift]
+		page := pm.writable((pa + uint64(i)) >> PageShift)
 		if page == nil {
 			return errBadPhys(pa + uint64(i))
 		}
@@ -180,10 +228,21 @@ func (pm *PhysMem) Write(pa uint64, v uint64, size uint8) error {
 	return nil
 }
 
+// writable returns the page a write to frame mfn lands in (nil if
+// unallocated), moving the translation generation first when the frame
+// is marked as a page table: every physical write goes through here.
+func (pm *PhysMem) writable(mfn uint64) *Page {
+	f := pm.pages[mfn]
+	if f.pageTable {
+		pm.xlateGen++
+	}
+	return f.page
+}
+
 // ReadBytes copies len(buf) bytes starting at physical address pa.
 func (pm *PhysMem) ReadBytes(pa uint64, buf []byte) error {
 	for n := 0; n < len(buf); {
-		page := pm.pages[pa>>PageShift]
+		page := pm.pages[pa>>PageShift].page
 		if page == nil {
 			return errBadPhys(pa)
 		}
@@ -199,7 +258,7 @@ func (pm *PhysMem) ReadBytes(pa uint64, buf []byte) error {
 // the domain builder and DMA injection).
 func (pm *PhysMem) WriteBytes(pa uint64, buf []byte) error {
 	for n := 0; n < len(buf); {
-		page := pm.pages[pa>>PageShift]
+		page := pm.writable(pa >> PageShift)
 		if page == nil {
 			return errBadPhys(pa)
 		}

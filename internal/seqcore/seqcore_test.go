@@ -700,3 +700,54 @@ func TestKernelMemoryProtection(t *testing.T) {
 		t.Fatalf("vector = %d, want #PF", e.ctx.Regs[uops.RegR10])
 	}
 }
+
+// A guest that has its page tables mapped writable changes a PTE with
+// an ordinary store: the very next instruction, in the same basic
+// block, must go through the new mapping (and a later store through
+// the old virtual address must land in the new frame), with no flush
+// of any kind in between.
+func TestGuestPTEStoreTakesEffectInSameBlock(t *testing.T) {
+	const ptVA = 0x800000
+	code := asm(t, func(a *x86.Assembler) {
+		a.Mov(x86.R(x86.RSI), x86.I(dataVA))
+		a.Mov(x86.R(x86.RAX), x86.M(x86.RSI, 0))
+		a.Mov(x86.R(x86.RAX), x86.M(x86.RSI, 0)) // the translation is cached by now
+		a.Mov(x86.M(x86.RSI, 8), x86.R(x86.RAX))
+		a.Mov(x86.M(x86.RDI, 0), x86.R(x86.RBX)) // the PTE store
+		a.Mov(x86.R(x86.RCX), x86.M(x86.RSI, 0))
+		a.Mov(x86.M(x86.RSI, 16), x86.R(x86.RCX))
+		a.Ptlcall()
+	})
+	e := newEnv(t, code, false)
+	e.ctx.WriteVirt(dataVA, 0xAAAA, 8)
+	e.ctx.WriteVirt(dataVA+0x1000, 0xBBBB, 8)
+	leaf, err := e.as.LeafPTEAddr(dataVA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf2, _ := e.as.LeafPTEAddr(dataVA + 0x1000)
+	pte2, _ := e.pm.Read(leaf2, 8)
+	if err := e.as.Map(ptVA, leaf>>mem.PageShift, mem.PTEWritable|mem.PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	e.ctx.Regs[uops.RegRDI] = ptVA + leaf&mem.PageMask
+	e.ctx.Regs[uops.RegRBX] = pte2
+	e.run(t, 10)
+	if e.core.Insns() != 8 || e.tree.Lookup("bb.misses").Value() != 1 {
+		t.Fatalf("%d instructions in %d blocks, want 8 in 1", e.core.Insns(), e.tree.Lookup("bb.misses").Value())
+	}
+	if got := e.ctx.Regs[uops.RegRAX]; got != 0xAAAA {
+		t.Fatalf("load before the PTE store = %#x", got)
+	}
+	if got := e.ctx.Regs[uops.RegRCX]; got != 0xBBBB {
+		t.Fatalf("load after the PTE store = %#x, want the new frame's 0xBBBB", got)
+	}
+	// The store after the PTE store went to the new frame, which is
+	// also still mapped at dataVA+0x1000; the one before it did not.
+	if v, _ := e.ctx.ReadVirt(dataVA+0x1000+16, 8); v != 0xBBBB {
+		t.Fatalf("store after the PTE store landed elsewhere: new frame holds %#x", v)
+	}
+	if v, _ := e.ctx.ReadVirt(dataVA+0x1000+8, 8); v != 0 {
+		t.Fatalf("store before the PTE store reached the new frame: %#x", v)
+	}
+}

@@ -70,11 +70,16 @@ type Context struct {
 	// TLB shootdown generation: incremented by CR3 writes and full
 	// flushes; cores with TLBs compare against their local copy.
 	FlushGen uint64
+
+	// xlate is the host-side translation cache translate consults
+	// (memaccess.go). NewContext allocates it; a Clone has none and
+	// walks, so copies never alias or inherit it.
+	xlate *xlateCache
 }
 
 // NewContext creates a VCPU context on machine m.
 func NewContext(m *Machine, id int) *Context {
-	return &Context{M: m, ID: id, Running: true}
+	return &Context{M: m, ID: id, Running: true, xlate: new(xlateCache)}
 }
 
 // Flags returns the current RFLAGS value.
@@ -111,6 +116,7 @@ func (c *Context) String() string {
 // checkpointing and co-simulation comparison).
 func (c *Context) Clone() *Context {
 	cp := *c
+	cp.xlate = nil
 	return &cp
 }
 

@@ -5,17 +5,99 @@ import (
 	"ptlsim/internal/uops"
 )
 
-// Translate walks the page tables for va under this context's CR3 and
-// privilege. The A/D tracking bits are updated as the microcoded walker
-// does on real hardware.
+// The host-side translation cache: a simulator speed structure that
+// mirrors nothing modelled (the out-of-order core's ITLB/DTLB and the
+// K8 reference's TLBs are separate and keyed on FlushGen; this is
+// not). One direct-mapped set per access class, because a class is
+// what the walk that filled an entry has proven and done: a read or
+// exec entry comes from a walk that set Accessed at every level (and
+// checked NX, for exec), a write entry from one that checked Writable
+// and set Dirty at the leaf. Classes never serve each other, and the
+// user/kernel bit is part of the tag. DESIGN.md §5 "Host-side
+// translation cache" has the equivalence argument.
+const xlateEntries = 128
+
+const (
+	xlateRead = iota
+	xlateWrite
+	xlateExec
+	xlateClasses
+)
+
+// xlateEntry maps (virtual page, user/kernel, CR3) to the frame and its
+// host page, valid while PhysMem's translation generation equals gen.
+type xlateEntry struct {
+	tag  uint64 // virtual page number << 1 | user
+	cr3  uint64
+	gen  uint64
+	mfn  uint64
+	page *mem.Page // nil: empty slot
+}
+
+type xlateCache [xlateClasses][xlateEntries]xlateEntry
+
+// Translate translates va under this context's CR3 and privilege: the
+// cached entry point of the functional memory path (mem.Walk is the
+// uncached walk underneath it, which the out-of-order core's modelled
+// TLB-miss path calls directly). A hit in the host-side translation
+// cache returns exactly what the walk it stands for would return and
+// leaves memory as that walk would; a miss walks, updating the A/D
+// tracking bits as the microcoded walker does on real hardware, and a
+// fault sets CR2.
 func (c *Context) Translate(va uint64, write, exec bool) (uint64, uops.Fault) {
+	_, pa, fault := c.translate(va, write, exec)
+	return pa, fault
+}
+
+// translate is Translate returning the frame's host page as well (nil
+// when the PTE names a frame that is not allocated). It is the only
+// function that consults or fills the cache; every *Virt* helper and
+// FetchCode go through it.
+//
+// Coherence is with memory, not with the guest's TLB flushes: a fill
+// marks the frames the walk read PTEs from (PhysMem.MarkPageTable), so
+// any later physical write into one of them — hypercall, domain
+// builder, fault injection, the guest's own store, another VCPU —
+// moves PhysMem.TranslationGen and the entry stops matching. The
+// generation is read after the walk: the walk's own A/D write-backs
+// into already-marked frames move it too (once per newly touched page).
+func (c *Context) translate(va uint64, write, exec bool) (*mem.Page, uint64, uops.Fault) {
+	pm := c.M.PM
+	tag := va >> mem.PageShift << 1
+	if !c.Kernel {
+		tag |= 1
+	}
+	var e *xlateEntry
+	// A clone has no cache, and no caller asks for write+exec, which
+	// no single class covers: both walk.
+	if c.xlate != nil && !(write && exec) {
+		cls := xlateRead
+		if exec {
+			cls = xlateExec
+		} else if write {
+			cls = xlateWrite
+		}
+		// CR3 is folded into the index so that processes laid out at
+		// the same virtual addresses do not evict each other.
+		e = &c.xlate[cls][(va^c.CR3)>>mem.PageShift&(xlateEntries-1)]
+		if e.tag == tag && e.cr3 == c.CR3 && e.gen == pm.TranslationGen() && e.page != nil {
+			return e.page, e.mfn<<mem.PageShift | va&mem.PageMask, uops.FaultNone
+		}
+	}
 	acc := mem.Access{Write: write, Exec: exec, User: !c.Kernel, SetAD: true}
-	w := mem.Walk(c.M.PM, c.CR3, va, acc)
+	w := mem.Walk(pm, c.CR3, va, acc)
 	if w.Fault != uops.FaultNone {
 		c.CR2 = va
-		return 0, w.Fault
+		return nil, 0, w.Fault
 	}
-	return w.PhysAddr(va), uops.FaultNone
+	page := pm.PagePtr(w.MFN)
+	if e != nil && page != nil {
+		for _, pteAddr := range w.PTEAddrs[:w.Depth] {
+			pm.MarkPageTable(pteAddr >> mem.PageShift)
+		}
+		*e = xlateEntry{tag: tag, cr3: c.CR3, gen: pm.TranslationGen(), mfn: w.MFN, page: page}
+	}
+	return page, w.PhysAddr(va), uops.FaultNone
 }
 
 // splitAt returns how many bytes of an access at va fit on its page.
@@ -32,30 +114,29 @@ func splitAt(va uint64, size uint8) uint8 {
 // the unaligned-capable load unit does.
 func (c *Context) ReadVirt(va uint64, size uint8) (uint64, uops.Fault) {
 	first := splitAt(va, size)
-	pa, fault := c.Translate(va, false, false)
+	page, pa, fault := c.translate(va, false, false)
 	if fault != uops.FaultNone {
 		return 0, fault
 	}
 	if first == size {
-		v, err := c.M.PM.Read(pa, size)
-		if err != nil {
+		if page == nil {
 			c.CR2 = va
 			return 0, uops.FaultPageRead
 		}
-		return v, uops.FaultNone
+		return page.Load(pa&mem.PageMask, size), uops.FaultNone
 	}
-	lo, err := c.M.PM.Read(pa, first)
-	if err != nil {
+	if page == nil {
 		return 0, uops.FaultPageRead
 	}
-	pa2, fault := c.Translate(va+uint64(first), false, false)
+	lo := page.Load(pa&mem.PageMask, first)
+	page2, pa2, fault := c.translate(va+uint64(first), false, false)
 	if fault != uops.FaultNone {
 		return 0, fault
 	}
-	hi, err := c.M.PM.Read(pa2, size-first)
-	if err != nil {
+	if page2 == nil {
 		return 0, uops.FaultPageRead
 	}
+	hi := page2.Load(pa2&mem.PageMask, size-first)
 	return lo | hi<<(8*first), uops.FaultNone
 }
 
