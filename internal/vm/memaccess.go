@@ -36,6 +36,13 @@ type xlateEntry struct {
 
 type xlateCache [xlateClasses][xlateEntries]xlateEntry
 
+// xlateIndex is the one slot of a set that va under cr3 can occupy.
+// CR3 is folded in so that processes laid out at the same virtual
+// addresses do not evict each other.
+func xlateIndex(va, cr3 uint64) uint64 {
+	return (va ^ cr3) >> mem.PageShift & (xlateEntries - 1)
+}
+
 // Translate translates va under this context's CR3 and privilege: the
 // cached entry point of the functional memory path (mem.Walk is the
 // uncached walk underneath it, which the out-of-order core's modelled
@@ -77,9 +84,7 @@ func (c *Context) translate(va uint64, write, exec bool) (*mem.Page, uint64, uop
 		} else if write {
 			cls = xlateWrite
 		}
-		// CR3 is folded into the index so that processes laid out at
-		// the same virtual addresses do not evict each other.
-		e = &c.xlate[cls][(va^c.CR3)>>mem.PageShift&(xlateEntries-1)]
+		e = &c.xlate[cls][xlateIndex(va, c.CR3)]
 		if e.tag == tag && e.cr3 == c.CR3 && e.gen == pm.TranslationGen() && e.page != nil {
 			return e.page, e.mfn<<mem.PageShift | va&mem.PageMask, uops.FaultNone
 		}

@@ -238,7 +238,7 @@ func newFuzzTwin(t *testing.T) *fuzzTwin {
 		scratch.SetAllocCursor(tw.pm.AllocCursor())
 		for {
 			fzRoot1.cursor = scratch.AllocCursor()
-			if (scratch.AllocPage()^as[0].CR3()>>mem.PageShift)&(xlateEntries-1) == 0 {
+			if xlateIndex(0, scratch.AllocPage()<<mem.PageShift) == xlateIndex(0, as[0].CR3()) {
 				return
 			}
 		}

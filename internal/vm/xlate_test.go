@@ -96,7 +96,7 @@ const (
 
 // cached reports whether c holds a live entry for va in class cls.
 func cached(c *Context, va uint64, cls int) bool {
-	e := &c.xlate[cls][(va^c.CR3)>>mem.PageShift&(xlateEntries-1)]
+	e := &c.xlate[cls][xlateIndex(va, c.CR3)]
 	return e.page != nil && e.tag>>1 == va>>mem.PageShift && e.cr3 == c.CR3 && e.gen == c.M.PM.TranslationGen()
 }
 
@@ -216,7 +216,7 @@ func TestXlateCR3Switch(t *testing.T) {
 			t.Fatal("no colliding address space found")
 		}
 		as := mem.NewAddressSpace(e.pm)
-		if (as.CR3()^e.as[0].CR3())>>mem.PageShift&(xlateEntries-1) != 0 {
+		if xlateIndex(userVA, as.CR3()) != xlateIndex(userVA, e.as[0].CR3()) {
 			continue
 		}
 		if err := as.Map(userVA, e.frames[4], mem.PTEWritable|mem.PTEUser); err != nil {
