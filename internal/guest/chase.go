@@ -10,28 +10,36 @@ import (
 // ChaseBenchmark builds a guest that follows 24,576 dependent pointers
 // through a full-period permutation of the 65,536 cache lines of a
 // 4 MiB region (four times the K8 L2, 1024 pages against a 32-entry
-// DTLB) and then prints "chase ok": the memory-bound shape of the
-// benchmark's memwalk_ooo workload at a third of its length. The
-// per-layer benchmarks (BenchmarkCoreCycle, BenchmarkSeqStep) run it.
+// DTLB), then sweeps the region twice with one 8-byte store per line
+// (write-allocate misses that never wait for a miss buffer, then dirty
+// writebacks as the sweep evicts what it wrote a megabyte earlier) and
+// prints "chase ok": the two memory-bound phases of the benchmark's
+// memwalk_ooo workload at under half its length. The per-layer
+// benchmarks (BenchmarkCoreCycle, BenchmarkSeqStep) run it.
 //
-// This is a second copy of the chase phase of benchmark/guests.Memwalk,
-// which the root module cannot import (benchmark/ is a module of its
-// own); benchmark/guests should call this one once a change may touch
-// benchmark/. Until then these must stay equal to memwalk.go for the
-// per-layer numbers to describe memwalk_ooo: region (MemwalkRegion,
-// 4 MiB), line (memwalkLine, 64), the next pointer at offset 0 of each
-// line (offNext) based at kern.UserDataVA, a permutation with a single
-// cycle over all lines (Sattolo's there, a full-period LCG here), one
-// dependent load per loop iteration, DataPages = region/4096 + 1, and
-// TimerPeriod (MemwalkTimerPeriod, 220,000). Different on purpose:
-// steps (3/8 of the lines against MemwalkChaseSteps' 5/8), no per-line
-// sum, no sweep phase.
+// This is a second copy of the chase and sweep phases of
+// benchmark/guests.Memwalk, which the root module cannot import
+// (benchmark/ is a module of its own); benchmark/guests should call
+// this one once a change may touch benchmark/. Until then these must
+// stay equal to memwalk.go for the per-layer numbers to describe
+// memwalk_ooo: region (MemwalkRegion, 4 MiB), line (memwalkLine, 64),
+// the next pointer at offset 0 of each line (offNext) based at
+// kern.UserDataVA, a permutation with a single cycle over all lines
+// (Sattolo's there, a full-period LCG here), one dependent load per
+// loop iteration, the sweep's store at offset 16 of each line
+// (offSweep), unrolled eight times (memwalkSweepUnroll), DataPages =
+// region/4096 + 1, and TimerPeriod (MemwalkTimerPeriod, 220,000).
+// Different on purpose: steps (3/8 of the lines against
+// MemwalkChaseSteps' 5/8), two sweep passes against four, no per-line
+// sum, no read-back and no checksum.
 func ChaseBenchmark() (kern.BuildSpec, error) {
 	const (
 		region = 4 << 20
 		line   = 64
 		lines  = region / line
 		steps  = 3 * lines / 8
+		passes = 2
+		unroll = 8
 		base   = int64(kern.UserDataVA)
 		msg    = base + region
 	)
@@ -49,6 +57,23 @@ func ChaseBenchmark() (kern.BuildSpec, error) {
 	a.Mov(x86.R(x86.RAX), x86.M(x86.RAX, 0))
 	a.Dec(x86.R(x86.RCX))
 	a.Jcc(x86.CondNE, chase)
+	// Stride-64 store sweep: RDX changes per iteration so that no store
+	// repeats the last one's value.
+	a.Mov(x86.R(x86.RDX), x86.R(x86.RAX))
+	a.Mov(x86.R(x86.R10), x86.I(passes))
+	pass := a.Mark()
+	a.Mov(x86.R(x86.RDI), x86.I(base))
+	a.Mov(x86.R(x86.RCX), x86.I(lines/unroll))
+	sweep := a.Mark()
+	for u := int32(0); u < unroll; u++ {
+		a.Mov(x86.M(x86.RDI, u*line+16), x86.R(x86.RDX))
+	}
+	a.Inc(x86.R(x86.RDX))
+	a.Add(x86.R(x86.RDI), x86.I(unroll*line))
+	a.Dec(x86.R(x86.RCX))
+	a.Jcc(x86.CondNE, sweep)
+	a.Dec(x86.R(x86.R10))
+	a.Jcc(x86.CondNE, pass)
 	const text = "chase ok\n"
 	a.Mov(x86.R(x86.RDI), x86.I(msg))
 	for i := 0; i < len(text); i++ {

@@ -17,8 +17,8 @@ import (
 // simulated cycle (a Core.Cycle call) and per committed uop, with
 // allocations (per run). The two guests use the loop in opposite ways:
 // rsync keeps the pipeline busy (IPC about 0.7), the memwalk-like
-// pointer chase leaves it stalled on L2 and DTLB misses (IPC about
-// 0.1). `make ooo-profile` runs this under pprof and prints host time
+// pointer chase and store sweep leave it stalled on L2 and DTLB misses
+// and writebacks (IPC about 0.1). `make ooo-profile` runs this under pprof and prints host time
 // by pipeline stage.
 func BenchmarkCoreCycle(b *testing.B) {
 	mcfg := core.Config{Core: ooo.K8Config(), NativeCPI: 1, ThreadsPerCore: 1}

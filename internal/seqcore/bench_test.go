@@ -16,8 +16,9 @@ import (
 // engine: whole boot-to-shutdown runs in core.ModeNative, reported per
 // committed x86 instruction, with uops per instruction and allocations
 // (per run). rsync is the benchmark's rsync_seq guest (48 files of
-// 8 KiB); the memwalk-like pointer chase touches 1024 data pages, so
-// it is the guest whose translations do not fit a small cache. `make
+// 8 KiB); the memwalk-like pointer chase and store sweep touch 1024
+// data pages (the chase at random, the sweep in order), so it is the
+// guest whose translations do not fit a small cache. `make
 // seq-profile` runs this under pprof and prints host time by function.
 func BenchmarkSeqStep(b *testing.B) {
 	mcfg := core.Config{Core: ooo.K8Config(), NativeCPI: 1, ThreadsPerCore: 1}

@@ -1,11 +1,13 @@
 #!/bin/sh
-# Host-time attribution of the out-of-order core loop, by pipeline
-# stage: runs BenchmarkCoreCycle (internal/ooo/bench_test.go) under the
-# CPU and allocation profilers and prints, for each guest, the
-# cumulative share of each stage function of Core.Cycle, then the top
-# allocation sites. No simulator option is involved: this is `go test
-# -bench` plus `go tool pprof`, three runs per guest, output in
-# ooo-profile-data/ (git-ignored).
+# Host-time attribution of the out-of-order core loop: runs
+# BenchmarkCoreCycle (internal/ooo/bench_test.go) under the CPU and
+# allocation profilers and prints, for each guest, the share of
+# Machine.Run spent in each pipeline stage of Core.Cycle, then in the
+# machine's step function and the cache hierarchy's entry points (the
+# miss buffers and the tag-array fill are what a miss-bound guest pays
+# for besides the stages), then the top allocation sites. No simulator
+# option is involved: this is `go test -bench` plus `go tool pprof`,
+# three runs per guest, output in ooo-profile-data/ (git-ignored).
 set -eu
 
 runs=3
@@ -14,6 +16,14 @@ mkdir -p "$out"
 out=$(cd "$out" && pwd)
 
 stages='ooo\.\(\*Core\)\.(Cycle|commit|writeback|issue|execute|applyRedirects|rename|fetch)$'
+around='core\.\(\*Machine\)\.(stepSim|allIdle|advance)$|cache\.\(\*Hierarchy\)\.(mshrAlloc|Store|Load)$|cache\.\(\*Cache\)\.Fill$'
+
+# top prints the functions matching $1 as shares of Machine.Run.
+top() {
+	go tool pprof -top -cum -focus 'core\.\(\*Machine\)\.Run$' -relative_percentages -show "$1" \
+		"$out/ooo.test" "$out/$guest.cpu.pprof" 2>/dev/null |
+		grep -E 'flat%|ooo\.\(\*Core\)\.|core\.\(\*Machine\)\.|cache\.\(\*'
+}
 
 for guest in rsync memwalk-like; do
 	echo "== BenchmarkCoreCycle/$guest ($runs runs)"
@@ -21,9 +31,10 @@ for guest in rsync memwalk-like; do
 		-benchtime "${runs}x" -cpu 1 -o "$out/ooo.test" \
 		-cpuprofile "$out/$guest.cpu.pprof" -memprofile "$out/$guest.mem.pprof" \
 		-memprofilerate 4096 | grep '^Benchmark'
-	echo "-- host time by stage (cum = the stage and everything it calls; execute is part of issue)"
-	go tool pprof -top -cum -show "$stages" "$out/ooo.test" "$out/$guest.cpu.pprof" 2>/dev/null |
-		grep -E 'flat%|ooo\.\(\*Core\)\.'
+	echo "-- host time by stage, as a share of Machine.Run (cum = the stage and everything it calls; execute is part of issue)"
+	top "$stages"
+	echo "-- around the stages: the machine's step and the cache hierarchy (Store is called from commit, Load from issue and the page walker)"
+	top "$around"
 	echo "-- allocation sites (bytes allocated over the whole run, boot included)"
 	go tool pprof -sample_index=alloc_space -top -nodecount 8 "$out/ooo.test" "$out/$guest.mem.pprof" 2>/dev/null |
 		sed -n '/flat%/,$p'

@@ -5,7 +5,7 @@
 # functions on the engine's fetch / execute / memory path, then the top
 # allocation sites. No simulator option is involved: this is `go test
 # -bench` plus `go tool pprof`, three runs of the rsync guest (the
-# memwalk-like one is 75k instructions, so it runs 150 times for as
+# memwalk-like one is 255k instructions, so it runs 50 times for as
 # many samples), output in seq-profile-data/ (git-ignored).
 set -eu
 
@@ -15,7 +15,7 @@ out=$(cd "$out" && pwd)
 
 funcs='seqcore\.\(\*Core\)\.(Step|fetchBB|execInsn|loadValue|commitStores)$|vm\.\(\*Context\)\.(Translate|ReadVirt)$|mem\.Walk$|mem\.\(\*PhysMem\)\.(Read|Write)$|bbcache\.\(\*Cache\)\.(Lookup|IsCodePage)$|uops\.Exec$|runtime\.mapaccess'
 
-for run in rsync:3 memwalk-like:150; do
+for run in rsync:3 memwalk-like:50; do
 	guest=${run%:*}
 	runs=${run#*:}
 	echo "== BenchmarkSeqStep/$guest ($runs runs)"
