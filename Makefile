@@ -39,9 +39,10 @@ restart-soak:
 
 # fuzz-smoke runs each fuzz target briefly (the -fuzz flag accepts one
 # target per invocation) — the decoder, the two readers of bytes a
-# crash can tear (the job store's replay and the journal reader), and
-# the differential check of the host-side translation cache against
-# bare page walks. A regression smoke over the seed corpus plus a short
+# crash can tear (the job store's replay and the journal reader), the
+# differential check of the host-side translation cache against bare
+# page walks, and the cache hierarchy's miss buffers against the list
+# they replaced. A regression smoke over the seed corpus plus a short
 # mutation budget, not a campaign. Longer runs:
 # go test ./internal/decode/ -fuzz FuzzBuildBB -fuzztime 10m
 FUZZTIME ?= 10s
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test ./internal/jobd/ -run '^$$' -fuzz '^FuzzStoreReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/supervisor/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm/ -run '^$$' -fuzz '^FuzzTranslateCoherent$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzMSHRAlloc$$' -fuzztime $(FUZZTIME)
 
 # fleet-soak runs a ptlsweep campaign across three ptlserve daemons
 # with a SIGKILL and a chaosnet network partition mid-sweep, verifying

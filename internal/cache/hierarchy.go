@@ -83,6 +83,153 @@ type mshr struct {
 	ready uint64
 }
 
+// mshrSet holds the outstanding misses the way mshrAlloc asks for them:
+// a binary min-heap on completion time (retire what has completed, find
+// the earliest free buffer) and an open-addressing index by line (merge
+// a miss into an outstanding one). It stores what the model says and
+// nothing else: cfg.MSHRs does not bound it, because a request beyond
+// the limit is not refused but queued behind the earliest completion,
+// and completed entries stay until the next allocation retires them —
+// a store sweep holds a few hundred entries with eight buffers
+// configured. Both arrays are sized for that when the hierarchy is built
+// and double only past it, so a run allocates nothing here.
+type mshrSet struct {
+	heap []mshr
+	// index has a power-of-two number of slots, at least twice as many as
+	// there are entries; a used slot holds line|1 (lines are aligned, so
+	// bit 0 is free to mean "used") and linear probing resolves
+	// collisions.
+	index []mshr
+	// latest is the latest completion time ever entered (until Flush):
+	// the L1-hit path probes for a fill in flight only before it.
+	latest uint64
+}
+
+// mshrSetEntries is the occupancy the set is built for.
+const mshrSetEntries = 512
+
+func newMSHRSet() mshrSet {
+	return mshrSet{heap: make([]mshr, 0, mshrSetEntries), index: make([]mshr, 2*mshrSetEntries)}
+}
+
+func (s *mshrSet) slot(line uint64) int {
+	return int((line * 0x9E3779B97F4A7C15) >> 32 & uint64(len(s.index)-1))
+}
+
+// find returns the completion time of the outstanding miss on line.
+func (s *mshrSet) find(line uint64) (ready uint64, ok bool) {
+	for i := s.slot(line); s.index[i].line != 0; i = (i + 1) & (len(s.index) - 1) {
+		if s.index[i].line == line|1 {
+			return s.index[i].ready, true
+		}
+	}
+	return 0, false
+}
+
+// add enters a miss on a line that has none outstanding.
+func (s *mshrSet) add(m mshr) {
+	if 2*(len(s.heap)+1) > len(s.index) {
+		old := s.index
+		s.index = make([]mshr, 2*len(old))
+		for _, e := range old {
+			if e.line != 0 {
+				s.indexPut(e)
+			}
+		}
+	}
+	s.indexPut(mshr{line: m.line | 1, ready: m.ready})
+	s.latest = max(s.latest, m.ready)
+	h := append(s.heap, m)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].ready <= h[i].ready {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	s.heap = h
+}
+
+func (s *mshrSet) indexPut(e mshr) {
+	i := s.slot(e.line &^ 1)
+	for s.index[i].line != 0 {
+		i = (i + 1) & (len(s.index) - 1)
+	}
+	s.index[i] = e
+}
+
+// retireEarliest removes the entry that completes first.
+func (s *mshrSet) retireEarliest() {
+	// Delete from the index, moving later entries of the probe run back
+	// over the hole unless that would put them before their home slot.
+	mask := len(s.index) - 1
+	i := s.slot(s.heap[0].line)
+	for s.index[i].line != s.heap[0].line|1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; s.index[j].line != 0; j = (j + 1) & mask {
+		if home := s.slot(s.index[j].line &^ 1); (j-home)&mask >= (j-i)&mask {
+			s.index[i] = s.index[j]
+			i = j
+		}
+	}
+	s.index[i] = mshr{}
+
+	h := s.heap
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= last {
+			break
+		}
+		if r := m + 1; r < last && h[r].ready < h[m].ready {
+			m = r
+		}
+		if h[i].ready <= h[m].ready {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	s.heap = h
+}
+
+func (s *mshrSet) clear() {
+	s.heap = s.heap[:0]
+	clear(s.index)
+	s.latest = 0
+}
+
+// audit checks the set against itself: heap order, completion times
+// set, every heap entry indexed under its line with the same completion
+// time, and nothing else in the index — so no two entries share a line.
+func (s *mshrSet) audit() error {
+	for i, m := range s.heap {
+		if m.ready == 0 {
+			return fmt.Errorf("mshr %d: zero completion time for line %#x", i, m.line)
+		}
+		if i > 0 && s.heap[(i-1)/2].ready > m.ready {
+			return fmt.Errorf("mshr %d: completion order broken (%d below %d)", i, m.ready, s.heap[(i-1)/2].ready)
+		}
+		if ready, ok := s.find(m.line); !ok || ready != m.ready {
+			return fmt.Errorf("mshr %d: line %#x completing at %d is indexed as (%d, %v)", i, m.line, m.ready, ready, ok)
+		}
+	}
+	used := 0
+	for _, e := range s.index {
+		if e.line != 0 {
+			used++
+		}
+	}
+	if used != len(s.heap) {
+		return fmt.Errorf("mshr: %d lines indexed for %d outstanding misses (duplicate or stale line)", used, len(s.heap))
+	}
+	return nil
+}
+
 // Hierarchy is one core's cache hierarchy with miss buffers and an
 // optional coherence controller shared between cores.
 type Hierarchy struct {
@@ -92,7 +239,7 @@ type Hierarchy struct {
 	l2  *Cache
 	l3  *Cache
 
-	mshrs []mshr
+	mshrs mshrSet
 
 	coh    Controller // may be nil (single core, no coherence)
 	coreID int
@@ -123,6 +270,8 @@ func NewHierarchy(cfg HierarchyConfig, tree *stats.Tree, prefix string) *Hierarc
 		l1d: NewCache(cfg.L1D),
 		l1i: NewCache(cfg.L1I),
 		l2:  NewCache(cfg.L2),
+
+		mshrs: newMSHRSet(),
 	}
 	if cfg.L3.Size > 0 {
 		h.l3 = NewCache(cfg.L3)
@@ -175,41 +324,48 @@ func (h *Hierarchy) Flush() {
 	if h.l3 != nil {
 		h.l3.Flush()
 	}
-	h.mshrs = h.mshrs[:0]
+	h.mshrs.clear()
 }
 
-// mshrLookup merges a miss into an outstanding one, or allocates a new
-// MSHR. Returns the completion cycle and whether it was merged.
+// mshrAlloc merges a miss into an outstanding one for the same line, or
+// allocates a new MSHR. Returns the completion cycle and whether it was
+// merged. now need not grow from call to call (a page walk asks at the
+// future cycle its previous level returns): an entry is retired by the
+// first allocation whose now has reached its completion time, and by
+// nothing else.
 func (h *Hierarchy) mshrAlloc(lineAddr, now, fillLatency uint64) (uint64, bool) {
-	// Retire completed MSHRs.
-	live := h.mshrs[:0]
-	for _, m := range h.mshrs {
-		if m.ready > now {
-			live = append(live, m)
-		}
+	s := &h.mshrs
+	for len(s.heap) > 0 && s.heap[0].ready <= now {
+		s.retireEarliest()
 	}
-	h.mshrs = live
-	for _, m := range h.mshrs {
-		if m.line == lineAddr {
-			h.mshrMerges.Inc()
-			return m.ready, true
-		}
+	if ready, ok := s.find(lineAddr); ok {
+		h.mshrMerges.Inc()
+		return ready, true
 	}
 	start := now
-	if len(h.mshrs) >= h.cfg.MSHRs {
+	if len(s.heap) >= h.cfg.MSHRs {
 		// All miss buffers busy: the request waits for the earliest
 		// free slot (structural hazard).
-		earliest := h.mshrs[0].ready
-		for _, m := range h.mshrs[1:] {
-			if m.ready < earliest {
-				earliest = m.ready
-			}
-		}
-		start = earliest
+		start = s.heap[0].ready
 	}
 	ready := start + fillLatency
-	h.mshrs = append(h.mshrs, mshr{line: lineAddr, ready: ready})
+	s.add(mshr{line: lineAddr, ready: ready})
 	return ready, false
+}
+
+// mshrInFlight is the L1-hit path's merge: if the line's fill is still
+// outstanding after cycle ready, the hit completes with it. Nearly every
+// hit finds nothing outstanding that late and does not probe.
+func (h *Hierarchy) mshrInFlight(lineAddr, ready uint64) (uint64, bool) {
+	if ready >= h.mshrs.latest {
+		return 0, false
+	}
+	fill, ok := h.mshrs.find(lineAddr)
+	if !ok || fill <= ready {
+		return 0, false
+	}
+	h.mshrMerges.Inc()
+	return fill, true
 }
 
 // access is the shared lookup path for loads, stores and fetches,
@@ -238,14 +394,9 @@ func (h *Hierarchy) accessTimed(pa uint64, now uint64, write, ifetch bool) Resul
 		ready := now + l1.cfg.Latency
 		// A hit on a line whose fill is still in flight completes when
 		// the outstanding MSHR does (miss merging).
-		merged := false
-		for _, m := range h.mshrs {
-			if m.line == lineAddr && m.ready > ready {
-				ready = m.ready
-				merged = true
-				h.mshrMerges.Inc()
-				break
-			}
+		fill, merged := h.mshrInFlight(lineAddr, ready)
+		if merged {
+			ready = fill
 		}
 		if write && (st == Shared || st == Owned) && h.coh != nil {
 			// Upgrade: invalidate other sharers.
@@ -360,10 +511,11 @@ func (h *Hierarchy) Fetch(pa, now uint64) Result { return h.access(pa, now, fals
 // Audit checks the hierarchy's structural invariants: every level's
 // LRU stacks and tag arrays (Cache.Audit), and the miss buffers — no
 // two outstanding MSHRs may track the same line (the merge path must
-// fold same-line misses) and completion times must be set. The raw
-// MSHR list length is not bounded by cfg.MSHRs: over-occupancy
+// fold same-line misses), completion times must be set, and the heap
+// and the line index must describe the same entries (mshrSet.audit).
+// The number of entries is not bounded by cfg.MSHRs: over-occupancy
 // requests queue behind the earliest free slot and dead entries retire
-// lazily, so only the same-line exclusion is a true invariant.
+// lazily.
 func (h *Hierarchy) Audit() error {
 	levels := []struct {
 		name string
@@ -377,18 +529,7 @@ func (h *Hierarchy) Audit() error {
 			return err
 		}
 	}
-	for i := range h.mshrs {
-		if h.mshrs[i].ready == 0 {
-			return fmt.Errorf("mshr %d: zero completion time for line %#x", i, h.mshrs[i].line)
-		}
-		for j := i + 1; j < len(h.mshrs); j++ {
-			if h.mshrs[i].line == h.mshrs[j].line {
-				return fmt.Errorf("mshr: duplicate outstanding miss for line %#x (slots %d and %d)",
-					h.mshrs[i].line, i, j)
-			}
-		}
-	}
-	return nil
+	return h.mshrs.audit()
 }
 
 // snoop handles a remote coherence request against this hierarchy:

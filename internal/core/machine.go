@@ -115,6 +115,15 @@ type Machine struct {
 	// hypervisor clock).
 	Cycle uint64
 
+	// Stepped and Jumped split the ModeSim cycles in which some VCPU was
+	// awake by how the host simulated them: Stepped cycles ran every
+	// core's pipeline stages, Jumped cycles were advanced in bulk because
+	// no stage of any core could act in them (see horizon; under the
+	// auditor the cores step through those too, to check that). They
+	// describe the host's work, not the guest's, and so are plain fields:
+	// the stats tree is part of a run's simulated outcome.
+	Stepped, Jumped uint64
+
 	collector *stats.Collector
 
 	// Pending ptlcall command phases.
@@ -231,7 +240,13 @@ func (m *Machine) Mode() Mode { return m.mode }
 func (m *Machine) Config() Config { return m.cfg }
 
 // SetStepHook installs fn to run after every successful Step (fault
-// injection instrumentation; nil clears it).
+// injection instrumentation; nil clears it). A step may cover many
+// cycles (see Step) and the hook runs once per step, not once per
+// cycle: a hook may act on what an instruction commit changes (the
+// fault injector's triggers are committed-instruction counts, and
+// Insns() moves only in cycles that are stepped one by one, so its
+// injections land on the cycles they always did) but must not wait for
+// a particular cycle to go by.
 func (m *Machine) SetStepHook(fn func(*Machine)) { m.stepHook = fn }
 
 // StepHook returns the installed step hook so checkpointing can carry
@@ -334,46 +349,93 @@ func (m *Machine) advance(n uint64) {
 	}
 }
 
-// allIdle reports whether every VCPU is halted.
-func (m *Machine) allIdle() bool {
-	for _, ctx := range m.Dom.VCPUs {
-		if ctx.Running {
-			return false
-		}
-	}
+// never is the horizon of a machine in which nothing is scheduled.
+const never = ^uint64(0)
+
+// horizon is the machine's next-event clock: it returns the first cycle
+// ≥ m.Cycle at which anything can happen — never when nothing ever
+// will — and whether the span up to it is a halted one. It is the only
+// function that decides how far time may jump; skipTo is the only one
+// that moves the clock over a span. bound is the cycle at which the
+// calling run loop stops (never for none).
+//
+// Halted: every VCPU is asleep with nothing in flight (in native mode,
+// no functional core could run). Nothing happens before the next timer,
+// DMA or trace deadline, the cores are not clocked over the span, and
+// the step ends at the deadline without running a cycle there. This
+// case deliberately ignores bound and the statistics collector, as the
+// idle skip it replaces always has: RunUntilCycle lands on the deadline
+// past its target and a snapshot due inside the span is taken after it.
+// Checkpoint positions of every supervised run follow from that
+// landing, so capping it is a behaviour change with a commit of its own
+// (ROADMAP, housekeeping).
+//
+// Stalled: some VCPU is awake, but no stage of any core can do more than
+// count a stall before the earliest of each core's NextEvent, the
+// domain's next deadline (a timer that fires inside a miss is seen by
+// the cores in the cycle it always was), the collector's next snapshot
+// (so a snapshot labelled N holds the counters of N) and bound. One busy
+// core or a deadline that is already due means no jump. With the
+// pipeline auditor on the span is found the same way, but each core then
+// steps through it and checks it (ooo.Core.SkipTo).
+func (m *Machine) horizon(bound uint64) (h uint64, halted bool) {
+	halted = true
 	if m.mode == ModeSim {
-		for _, c := range m.oooCores {
-			if !c.Idle() {
-				return false
+		for _, ctx := range m.Dom.VCPUs {
+			if ctx.Running {
+				halted = false
+				break
 			}
 		}
+		for i := 0; halted && i < len(m.oooCores); i++ {
+			halted = m.oooCores[i].Idle()
+		}
 	}
-	return true
+	if halted {
+		ddl := m.Dom.NextTimerDeadline()
+		if ddl == 0 {
+			return never, true
+		}
+		return max(ddl, m.Cycle+1), true
+	}
+	h = bound
+	for _, c := range m.oooCores {
+		h = min(h, c.NextEvent(m.Cycle))
+	}
+	if h <= m.Cycle {
+		return m.Cycle, false
+	}
+	if ddl := m.Dom.NextTimerDeadline(); ddl != 0 {
+		h = min(h, max(ddl, m.Cycle))
+	}
+	if m.collector != nil {
+		h = min(h, m.collector.Next())
+	}
+	return h, false
 }
 
-// skipIdle fast-forwards the clock to the next timer/DMA deadline when
-// the whole domain is halted. Returns false on true deadlock.
-func (m *Machine) skipIdle() bool {
-	ddl := m.Dom.NextTimerDeadline()
-	if ddl == 0 {
-		return false
-	}
-	if ddl <= m.Cycle {
-		ddl = m.Cycle + 1
-	}
-	m.advance(ddl - m.Cycle)
-	// The skipped span is sleep, not a stall: rebase each core's
-	// commit-progress watchdog so the wake-up is not misread as a
-	// multi-billion-cycle livelock.
+// skipTo moves the clock to cycle h > m.Cycle over a span horizon found
+// empty: each core accounts for the cycles it was not called in (the
+// per-cycle counters of a stalled span, the watchdog's baseline; an
+// audited core reports a span that was not as quiet as predicted), then
+// the shared clock, the mode accounting, the domain's timers and the
+// collector advance in one piece.
+func (m *Machine) skipTo(h uint64, halted bool) error {
 	for _, c := range m.oooCores {
-		c.NoteIdleSkip(m.Cycle)
+		if err := c.SkipTo(m.Cycle, h, halted); err != nil {
+			return err
+		}
 	}
-	return true
+	if !halted {
+		m.Jumped += h - m.Cycle
+	}
+	m.advance(h - m.Cycle)
+	return nil
 }
 
 // stepNative advances native mode by one scheduling quantum (one basic
 // block per VCPU), advancing virtual time by NativeCPI per instruction.
-func (m *Machine) stepNative() error {
+func (m *Machine) stepNative(bound uint64) error {
 	before := int64(0)
 	for _, c := range m.seqCores {
 		before += c.Insns()
@@ -400,15 +462,19 @@ func (m *Machine) stepNative() error {
 		m.advance(n)
 		return nil
 	}
-	if !m.skipIdle() {
-		return m.deadlockErr()
+	h, halted := m.horizon(bound)
+	if h == never {
+		return m.deadlockErr(halted)
 	}
-	return nil
+	return m.skipTo(h, halted)
 }
 
-// deadlockErr builds the structured error for a fully halted domain
-// with no timer or DMA deadline that could ever wake it.
-func (m *Machine) deadlockErr() error {
+// deadlockErr builds the structured error for a machine whose horizon
+// is never: a fully halted domain with no timer or DMA deadline that
+// could wake it, or cores that are awake with nothing scheduled, no
+// deadline, no watchdog and no run bound (stepping such a machine cycle
+// by cycle would spin forever).
+func (m *Machine) deadlockErr(halted bool) error {
 	ctx := m.Dom.VCPUs[0]
 	se := &simerr.SimError{
 		Kind:    simerr.KindDeadlock,
@@ -416,6 +482,9 @@ func (m *Machine) deadlockErr() error {
 		VCPU:    int(ctx.ID),
 		RIP:     ctx.RIP,
 		Message: "domain deadlocked: all VCPUs halted, no pending timers",
+	}
+	if !halted {
+		se.Message = "domain deadlocked: no core has anything scheduled, no pending timers"
 	}
 	if m.mode == ModeSim {
 		var dump strings.Builder
@@ -429,31 +498,48 @@ func (m *Machine) deadlockErr() error {
 	return se
 }
 
-// stepSim advances the cycle accurate model by one cycle (all cores in
-// round-robin order, as §2.2 describes).
-func (m *Machine) stepSim() error {
-	if m.allIdle() {
-		if !m.skipIdle() {
-			return m.deadlockErr()
+// stepSim advances the cycle accurate model to the next cycle in which
+// something can happen and runs that cycle on all cores in round-robin
+// order, as §2.2 describes. The jump (horizon, skipTo) comes first, so
+// that whatever touched the machine since the last step — its hook, a
+// guest command, a caller — is seen before time moves.
+func (m *Machine) stepSim(bound uint64) error {
+	h, halted := m.horizon(bound)
+	if h == never {
+		return m.deadlockErr(halted)
+	}
+	if h > m.Cycle {
+		if err := m.skipTo(h, halted); err != nil || halted || m.Cycle >= bound {
+			return err
 		}
-		return nil
 	}
 	for _, c := range m.oooCores {
 		if err := c.Cycle(m.Cycle); err != nil {
 			return err
 		}
 	}
+	m.Stepped++
 	m.advance(1)
 	return nil
 }
 
-// Step advances the machine by one unit in the current mode.
-func (m *Machine) Step() error {
+// Step advances the machine by one unit in the current mode: a
+// scheduling quantum in native mode; in simulation mode one cycle of
+// every core, preceded by all the cycles in which no core could have
+// done anything (a stall on a cache miss, or the whole domain asleep
+// until a timer), which are accounted for in bulk. Simulated time,
+// statistics and events are those of stepping every cycle; only the
+// number of Step calls, hence of step-hook calls, per cycle differs.
+func (m *Machine) Step() error { return m.step(never) }
+
+// step is Step for a run loop that stops at cycle bound: no jump over a
+// stalled span goes past it.
+func (m *Machine) step(bound uint64) error {
 	var err error
 	if m.mode == ModeNative {
-		err = m.stepNative()
+		err = m.stepNative(bound)
 	} else {
-		err = m.stepSim()
+		err = m.stepSim(bound)
 	}
 	if err == nil && m.stepHook != nil {
 		m.stepHook(m)
@@ -542,6 +628,10 @@ func (m *Machine) RunUntilInsnsCtx(ctx context.Context, target int64, maxCycles 
 		}()
 	}
 	start := m.Cycle
+	bound := uint64(never)
+	if maxCycles > 0 {
+		bound = start + maxCycles
+	}
 	check := 0
 	for m.Insns() < target && !m.Dom.ShutdownReq {
 		if check--; check <= 0 {
@@ -554,7 +644,7 @@ func (m *Machine) RunUntilInsnsCtx(ctx context.Context, target int64, maxCycles 
 			return m.BudgetErr(fmt.Sprintf(
 				"RunUntilInsns(%d): cycle budget %d exhausted at %d insns", target, maxCycles, m.Insns()))
 		}
-		if err := m.Step(); err != nil {
+		if err := m.step(bound); err != nil {
 			return err
 		}
 		m.processCommands()
@@ -598,6 +688,10 @@ func (m *Machine) Run(maxCycles uint64) (err error) {
 // and clean exit.
 func (m *Machine) RunCtx(ctx context.Context, maxCycles uint64) (err error) {
 	defer m.guard(&err)
+	bound := uint64(never)
+	if maxCycles > 0 {
+		bound = maxCycles
+	}
 	check := 0
 	for !m.Dom.ShutdownReq {
 		if check--; check <= 0 {
@@ -609,7 +703,7 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles uint64) (err error) {
 		if maxCycles > 0 && m.Cycle >= maxCycles {
 			return m.BudgetErr(fmt.Sprintf("cycle budget %d exhausted", maxCycles))
 		}
-		if err := m.Step(); err != nil {
+		if err := m.step(bound); err != nil {
 			return err
 		}
 		m.postStep()
@@ -621,8 +715,13 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles uint64) (err error) {
 }
 
 // RunUntilCycle advances until the shared clock reaches target or the
-// domain shuts down — checkpoint interval boundaries land on exact
-// cycles regardless of mode.
+// domain shuts down. While any VCPU is awake it returns at exactly
+// target in simulation mode (a jump over a stall ends there); when the
+// whole domain is asleep it returns at the next timer deadline, which
+// may lie far past target, and a native-mode quantum overshoots by up
+// to a basic block (horizon's comment has the reason the halted case is
+// left that way). Checkpoint intervals are measured from where it
+// landed.
 func (m *Machine) RunUntilCycle(target uint64) (err error) {
 	return m.RunUntilCycleCtx(context.Background(), target)
 }
@@ -638,7 +737,7 @@ func (m *Machine) RunUntilCycleCtx(ctx context.Context, target uint64) (err erro
 				return m.interruptErr(cerr)
 			}
 		}
-		if err := m.Step(); err != nil {
+		if err := m.step(target); err != nil {
 			return err
 		}
 		m.postStep()

@@ -14,8 +14,9 @@ import (
 
 // BenchmarkCoreCycle is the per-layer benchmark of the out-of-order
 // core loop: whole full-system runs on the K8 core, reported per busy
-// simulated cycle (a Core.Cycle call) and per committed uop, with
-// allocations (per run). The two guests use the loop in opposite ways:
+// simulated cycle and per committed uop, with the fraction of those
+// cycles that ran the pipeline stages (a Core.Cycle call; the machine's
+// next-event clock jumps over the others) and allocations (per run). The two guests use the loop in opposite ways:
 // rsync keeps the pipeline busy (IPC about 0.7), the memwalk-like
 // pointer chase and store sweep leave it stalled on L2 and DTLB misses
 // and writebacks (IPC about 0.1). `make ooo-profile` runs this under pprof and prints host time
@@ -50,6 +51,7 @@ func BenchmarkCoreCycle(b *testing.B) {
 func benchRuns(b *testing.B, wantConsole string, boot func() (*core.Machine, error)) {
 	b.ReportAllocs()
 	var cycles, uops int64
+	var stepped uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		m, err := boot()
@@ -67,8 +69,10 @@ func benchRuns(b *testing.B, wantConsole string, boot func() (*core.Machine, err
 		}
 		cycles += m.Tree.Lookup("core0.cycles").Value()
 		uops += m.Tree.Lookup("core0.commit.uops").Value()
+		stepped += m.Stepped
 	}
 	ns := float64(b.Elapsed().Nanoseconds())
 	b.ReportMetric(ns/float64(cycles), "ns/cycle")
 	b.ReportMetric(ns/float64(uops), "ns/commit-uop")
+	b.ReportMetric(float64(stepped)/float64(cycles), "stepped-frac")
 }

@@ -28,7 +28,7 @@ func (c *Core) commit() error {
 func (c *Core) commitThread(th *thread, budget int) (int, error) {
 	ctx := th.ctx
 	for budget > 0 {
-		if c.commitLimit > 0 && c.cInsns.Value() >= c.commitLimit {
+		if c.commitPaused() {
 			return budget, nil
 		}
 		// Wake halted threads and deliver pending events precisely at

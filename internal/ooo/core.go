@@ -405,16 +405,6 @@ func (c *Core) decorate(err error) error {
 	return err
 }
 
-// NoteIdleSkip rebases the commit-progress watchdog after the machine
-// fast-forwards the clock over a fully idle period. The skipped span is
-// legitimate sleep, not a stuck pipeline; without the rebase the first
-// wake after a multi-billion-cycle timer gap would be misreported as a
-// livelock.
-func (c *Core) NoteIdleSkip(now uint64) {
-	c.progressInit = true
-	c.lastProgress = now
-}
-
 // RecentCommits returns the most recently committed instruction
 // addresses, oldest first.
 func (c *Core) RecentCommits() []uint64 {
@@ -715,7 +705,7 @@ func (c *Core) checkWatchdog(progressBefore int64) error {
 		c.lastProgress = c.now
 	}
 	progressed := c.cUops.Value()+c.cInterrupts.Value()+c.cAssists.Value() != progressBefore
-	if progressed || c.Idle() || (c.commitLimit > 0 && c.cInsns.Value() >= c.commitLimit) {
+	if progressed || c.Idle() || c.commitPaused() {
 		c.lastProgress = c.now
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"ptlsim/internal/decode"
 	"ptlsim/internal/evlog"
 	"ptlsim/internal/mem"
+	"ptlsim/internal/stats"
 	"ptlsim/internal/tlb"
 	"ptlsim/internal/uops"
 )
@@ -208,40 +209,23 @@ func (c *Core) rename() {
 
 func (c *Core) renameThread(th *thread, budget int) int {
 	for budget > 0 && th.fetchQ.len() > 0 {
-		if th.robCount >= len(th.rob) {
-			c.cFetchStallROB.Inc()
-			return budget
-		}
 		f := th.fetchQ.at(0) // read in place; popped once the uop is in the ROB
 		u := &f.uop
 
 		class := classOf(u)
-		cl := c.pickCluster(class)
-		if cl < 0 {
-			c.cFetchStallIQ.Inc()
+		cl, stall := c.renameCheck(th, u, class)
+		if stall != renameOK {
+			if ctr := stall.counter(c); ctr != nil {
+				ctr.Inc()
+			}
 			return budget
 		}
-		if u.IsLoad() && th.ldq.full() {
-			return budget
-		}
-		if u.IsStore() && th.stq.full() {
-			return budget
-		}
-
-		// Allocate rename resources; roll back on shortage.
 		rd, fl := int32(-1), int32(-1)
 		if u.Rd != uops.RegZero {
 			rd = c.allocPhys(0, 0)
-			if rd == -2 {
-				return budget
-			}
 		}
 		if u.SetFlags != 0 {
 			fl = c.allocPhys(0, 0)
-			if fl == -2 {
-				c.freePhys(rd)
-				return budget
-			}
 		}
 
 		c.seq++
@@ -321,6 +305,56 @@ func (c *Core) renameThread(th *thread, budget int) int {
 		budget--
 	}
 	return budget
+}
+
+// renameStall says why the uop at the head of a fetch queue cannot be
+// renamed this cycle.
+type renameStall uint8
+
+const (
+	renameOK   renameStall = iota
+	stallROB               // ROB full: counted in stall.rob_full
+	stallIQ                // every issue queue of the uop's class full: counted in stall.iq_full
+	stallQuiet             // LDQ or STQ full, or too few free physical registers: counts nothing
+)
+
+// counter returns the counter a stalled rename stage adds one to per
+// cycle and stalled thread (nil when the reason counts nothing).
+func (s renameStall) counter(c *Core) *stats.Counter {
+	switch s {
+	case stallROB:
+		return c.cFetchStallROB
+	case stallIQ:
+		return c.cFetchStallIQ
+	}
+	return nil
+}
+
+// renameCheck decides, without changing anything, whether th can rename
+// uop u (of op class class) now: the issue queue it would go to, or the
+// structural shortage that blocks it, tested in the order the counters
+// have always seen them. The rename stage and the next-event clock
+// (NextEvent) both ask here, so what the clock predicts a stalled cycle
+// to count is what the stage counts.
+func (c *Core) renameCheck(th *thread, u *uops.Uop, class OpClass) (cluster int, stall renameStall) {
+	if th.robCount >= len(th.rob) {
+		return -1, stallROB
+	}
+	cl := c.pickCluster(class)
+	if cl < 0 {
+		return -1, stallIQ
+	}
+	need := 0
+	if u.Rd != uops.RegZero {
+		need++
+	}
+	if u.SetFlags != 0 {
+		need++
+	}
+	if (u.IsLoad() && th.ldq.full()) || (u.IsStore() && th.stq.full()) || len(c.free) < need {
+		return cl, stallQuiet
+	}
+	return cl, renameOK
 }
 
 // srcPhysB resolves operand b to a physical register. An absent source

@@ -46,6 +46,11 @@ func (c *Collector) Tick(cycle uint64) {
 	}
 }
 
+// Next returns the cycle of the next periodic snapshot: a caller that
+// advances many cycles in one Tick stops there if the snapshot labelled
+// N is to hold exactly the counters of cycle N.
+func (c *Collector) Next() uint64 { return c.next }
+
 // Finish takes a final snapshot at cycle (if beyond the last periodic
 // one) and returns the accumulated series.
 func (c *Collector) Finish(cycle uint64) Series {

@@ -3,7 +3,8 @@
 # BenchmarkCoreCycle (internal/ooo/bench_test.go) under the CPU and
 # allocation profilers and prints, for each guest, the share of
 # Machine.Run spent in each pipeline stage of Core.Cycle, then in the
-# machine's step function and the cache hierarchy's entry points (the
+# machine's step function, its next-event clock (horizon, which asks
+# each core's NextEvent) and the cache hierarchy's entry points (the
 # miss buffers and the tag-array fill are what a miss-bound guest pays
 # for besides the stages), then the top allocation sites. No simulator
 # option is involved: this is `go test -bench` plus `go tool pprof`,
@@ -16,7 +17,7 @@ mkdir -p "$out"
 out=$(cd "$out" && pwd)
 
 stages='ooo\.\(\*Core\)\.(Cycle|commit|writeback|issue|execute|applyRedirects|rename|fetch)$'
-around='core\.\(\*Machine\)\.(stepSim|allIdle|advance)$|cache\.\(\*Hierarchy\)\.(mshrAlloc|Store|Load)$|cache\.\(\*Cache\)\.Fill$'
+around='core\.\(\*Machine\)\.(stepSim|horizon|skipTo|advance)$|ooo\.\(\*Core\)\.(NextEvent|SkipTo)$|cache\.\(\*Hierarchy\)\.(mshrAlloc|Store|Load)$|cache\.\(\*Cache\)\.Fill$'
 
 # top prints the functions matching $1 as shares of Machine.Run.
 top() {
@@ -33,7 +34,7 @@ for guest in rsync memwalk-like; do
 		-memprofilerate 4096 | grep '^Benchmark'
 	echo "-- host time by stage, as a share of Machine.Run (cum = the stage and everything it calls; execute is part of issue)"
 	top "$stages"
-	echo "-- around the stages: the machine's step and the cache hierarchy (Store is called from commit, Load from issue and the page walker)"
+	echo "-- around the stages: the machine's step, the next-event clock and the cache hierarchy (Store is called from commit, Load from issue and the page walker)"
 	top "$around"
 	echo "-- allocation sites (bytes allocated over the whole run, boot included)"
 	go tool pprof -sample_index=alloc_space -top -nodecount 8 "$out/ooo.test" "$out/$guest.mem.pprof" 2>/dev/null |
