@@ -174,6 +174,8 @@ func FuzzMSHRAlloc(f *testing.F) {
 	f.Add(over)
 	// A line missed again after its entry died, around a probe and a flush.
 	f.Add([]byte{7, 1, 5, 0, 7, 2, 5, 2, 7, 20, 5, 0, 7, 1, 5, 2, 9, 0, 5, 3, 7, 1, 5, 0})
+	// A line missed again in the very cycle its entry completes: a new miss, not a merge.
+	f.Add([]byte{1, 0, 4, 0, 1, 5, 4, 0, 2, 0, 4, 0, 2, 4, 4, 0, 2, 1, 4, 2})
 	// Equal completion times, and time stepping back.
 	f.Add([]byte{1, 0, 9, 0, 2, 0, 9, 0, 3, 0, 9, 0, 4, 129, 9, 0, 1, 9, 1, 0, 5, 0, 1, 0, 2, 0, 1, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {

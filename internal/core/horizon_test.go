@@ -1,20 +1,70 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"ptlsim/internal/guest"
+	"ptlsim/internal/kern"
 	"ptlsim/internal/selfcheck"
 	"ptlsim/internal/simerr"
+	"ptlsim/internal/stats"
 	"ptlsim/internal/x86"
 )
 
-// Machine-level tests of the next-event clock. The reference for "what
-// stepping every cycle gives" is the same guest with the pipeline
-// auditor on: under the auditor a core steps through every span it is
-// asked to skip (and checks that the span was as quiet as predicted), so
-// in such a machine every cycle goes through Core.Cycle.
+// Machine-level tests of the next-event clock. There are two references
+// for "what stepping every cycle gives". stepOneCycle below is the
+// simulation-mode step as it was before the clock — every core, one
+// cycle, advance by one — kept here for the tests to compare against; it
+// knows nothing of horizons, so it also checks what the machine does
+// around a span (timers, snapshots, run bounds). The second is the same
+// guest with the pipeline auditor on: an audited core steps through
+// every span it is asked to skip and checks that the span was as quiet
+// as predicted.
+
+// stepOneCycle is Machine.step without the next-event clock: when some
+// VCPU is awake, one cycle of every core and the clock moves by one. (A
+// fully halted domain sleeps to its next deadline through the product's
+// own code; that case is as old as the idle skip.)
+func stepOneCycle(m *Machine) error {
+	if h, halted := m.horizon(never); halted {
+		if h == never {
+			return m.deadlockErr(true)
+		}
+		return m.skipTo(h, true)
+	}
+	for _, c := range m.oooCores {
+		if err := c.Cycle(m.Cycle); err != nil {
+			return err
+		}
+	}
+	m.Stepped++
+	m.advance(1)
+	return nil
+}
+
+// runCycleByCycle is Machine.Run on stepOneCycle (simulation mode only).
+func runCycleByCycle(m *Machine, maxCycles uint64) (err error) {
+	defer m.guard(&err)
+	for !m.Dom.ShutdownReq {
+		if maxCycles > 0 && m.Cycle >= maxCycles {
+			return m.BudgetErr(fmt.Sprintf("cycle budget %d exhausted", maxCycles))
+		}
+		if err := stepOneCycle(m); err != nil {
+			return err
+		}
+		if m.stepHook != nil {
+			m.stepHook(m)
+		}
+		m.postStep()
+	}
+	if m.collector != nil {
+		m.collector.Tick(m.Cycle)
+	}
+	return nil
+}
 
 // audited returns cfg with the invariant auditor on at a cadence that
 // keeps its whole-cache walks off the test's clock.
@@ -23,10 +73,10 @@ func audited(cfg Config) Config {
 	return cfg
 }
 
-// runToShutdown runs m to the end of its guest.
-func runToShutdown(t *testing.T, m *Machine, console string) {
+// finished checks that a run ended with its guest's message.
+func finished(t *testing.T, m *Machine, err error, console string) {
 	t.Helper()
-	if err := m.Run(50_000_000); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(m.Dom.Console(), console) {
@@ -34,33 +84,50 @@ func runToShutdown(t *testing.T, m *Machine, console string) {
 	}
 }
 
+// runToShutdown runs m to the end of its guest.
+func runToShutdown(t *testing.T, m *Machine, console string) {
+	t.Helper()
+	finished(t, m, m.Run(50_000_000), console)
+}
+
 // TestJumpedRunEqualsSteppedRun: the chase guest with a timer that fires
 // every 3,000 cycles — mostly while a miss is outstanding — and a
 // statistics snapshot every 10,007 ends on the same cycle with the same
 // console, stats tree, event log and snapshot series whether quiet spans
-// are jumped or stepped. A timer delivered a cycle late, a snapshot
-// holding counters from beyond its label, or a stall counter advanced by
-// the wrong amount each shows here.
+// are jumped, stepped by the reference above, or stepped and checked by
+// the auditor. A timer delivered a cycle late, a snapshot holding
+// counters from beyond its label, or a stall counter advanced by the
+// wrong amount each shows here.
 func TestJumpedRunEqualsSteppedRun(t *testing.T) {
 	cfg := k8Machine()
 	cfg.SnapshotCycles = 10_007
 	run := bootChase(t, 3000, cfg)
 	runToShutdown(t, run, "chase ok")
-	ref := bootChase(t, 3000, audited(cfg))
-	runToShutdown(t, ref, "chase ok")
+	ref := bootChase(t, 3000, cfg)
+	finished(t, ref, runCycleByCycle(ref, 50_000_000), "chase ok")
+	aud := bootChase(t, 3000, audited(cfg))
+	runToShutdown(t, aud, "chase ok")
 
-	if got, want := fingerprintOf(t, run), fingerprintOf(t, ref); got != want {
+	want := fingerprintOf(t, ref)
+	if got := fingerprintOf(t, run); got != want {
 		t.Fatalf("jumped run differs from the stepped one:\n got %+v\nwant %+v", got, want)
 	}
-	if got, want := run.Series(), ref.Series(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapshot series differ (%d and %d snapshots)", len(got.Snapshots), len(want.Snapshots))
+	if got := fingerprintOf(t, aud); got != want {
+		t.Fatalf("audited run differs from the stepped one:\n got %+v\nwant %+v", got, want)
+	}
+	for name, m := range map[string]*Machine{"jumped": run, "audited": aud} {
+		if got, want := m.Series(), ref.Series(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s run: snapshot series differs from the stepped run's (%d and %d snapshots)",
+				name, len(got.Snapshots), len(want.Snapshots))
+		}
 	}
 	t.Logf("%d cycles: %d stepped, %d jumped", run.Cycle, run.Stepped, run.Jumped)
 	if 2*run.Jumped < run.Cycle {
 		t.Fatalf("only %d of %d cycles jumped: the test compares stepping with stepping", run.Jumped, run.Cycle)
 	}
-	if run.Stepped != ref.Stepped || run.Jumped != ref.Jumped {
-		t.Fatalf("%d stepped + %d jumped cycles, the audited run found %d + %d", run.Stepped, run.Jumped, ref.Stepped, ref.Jumped)
+	if ref.Jumped != 0 || run.Stepped+run.Jumped != ref.Stepped || aud.Stepped != run.Stepped || aud.Jumped != run.Jumped {
+		t.Fatalf("%d stepped + %d jumped cycles; audited %d + %d; the stepped run has %d + %d",
+			run.Stepped, run.Jumped, aud.Stepped, aud.Jumped, ref.Stepped, ref.Jumped)
 	}
 	if busy := uint64(run.Tree.Lookup("core0.cycles").Value()); busy != run.Stepped+run.Jumped {
 		t.Fatalf("core0.cycles = %d, %d stepped + %d jumped", busy, run.Stepped, run.Jumped)
@@ -72,6 +139,44 @@ func TestJumpedRunEqualsSteppedRun(t *testing.T) {
 	}
 	if n := len(run.Series().Snapshots); n < 10 {
 		t.Errorf("%d snapshots taken", n)
+	}
+}
+
+// TestHaltedSpansAreNotClocked: the rsync guest sleeps between timer
+// ticks. The cores' cycle counters stand still while it does (that time
+// is cycles_in_mode.idle, which the benchmark subtracts to get its busy
+// cycles): a core is clocked in exactly the stepped and the jumped
+// cycles, and the run equals the reference's.
+func TestHaltedSpansAreNotClocked(t *testing.T) {
+	boot := func() *Machine {
+		cs := guest.CorpusSpec{NFiles: 1, FileSize: 1024, Seed: 5, ChangeFraction: 0.4}
+		spec, err := guest.RsyncBenchmark(cs, 20_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Tree = stats.NewTree()
+		img, err := kern.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMachine(img.Domain, spec.Tree, k8Machine())
+		m.SwitchMode(ModeSim)
+		return m
+	}
+	run, ref := boot(), boot()
+	runToShutdown(t, run, "rsync ok")
+	finished(t, ref, runCycleByCycle(ref, 50_000_000), "rsync ok")
+	if got, want := fingerprintOf(t, run), fingerprintOf(t, ref); got != want {
+		t.Fatalf("run differs from the stepped one:\n got %+v\nwant %+v", got, want)
+	}
+	busy := uint64(run.Tree.Lookup("core0.cycles").Value())
+	idle := uint64(run.Tree.Lookup("external.cycles_in_mode.idle").Value())
+	if idle == 0 || run.Jumped == 0 {
+		t.Fatalf("%d idle cycles, %d jumped: the guest must both sleep and stall", idle, run.Jumped)
+	}
+	if busy != run.Stepped+run.Jumped || busy >= run.Cycle {
+		t.Fatalf("%d core cycles, %d stepped + %d jumped, in a run of %d cycles with %d idle",
+			busy, run.Stepped, run.Jumped, run.Cycle, idle)
 	}
 }
 
@@ -141,26 +246,34 @@ func TestHungMemoryEndsWhereSteppingEnds(t *testing.T) {
 	}
 	watchdog := k8Machine()
 	watchdog.WatchdogCycles = 5000
+	insnBudget := func(m *Machine) error {
+		if err := m.RunUntilCycle(1234); err != nil {
+			return err
+		}
+		return m.RunUntilInsns(1<<40, 300_000)
+	}
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		kind simerr.Kind
-		run  func(m *Machine) error
+		name     string
+		cfg      Config
+		kind     simerr.Kind
+		run, ref func(m *Machine) error
 	}{
-		{"watchdog", watchdog, simerr.KindLivelock, func(m *Machine) error { return m.Run(0) }},
-		{"run budget", k8Machine(), simerr.KindCycleBudget, func(m *Machine) error { return m.Run(400_000) }},
-		{"insn budget", k8Machine(), simerr.KindCycleBudget, func(m *Machine) error {
-			if err := m.RunUntilCycle(1234); err != nil {
-				return err
-			}
-			return m.RunUntilInsns(1<<40, 300_000)
-		}},
+		{"watchdog", watchdog, simerr.KindLivelock,
+			func(m *Machine) error { return m.Run(0) }, func(m *Machine) error { return runCycleByCycle(m, 0) }},
+		{"run budget", k8Machine(), simerr.KindCycleBudget,
+			func(m *Machine) error { return m.Run(400_000) }, func(m *Machine) error { return runCycleByCycle(m, 400_000) }},
+		// RunUntilInsns has no reference loop here: the audited machine's
+		// cores step every cycle, and the budget error has no dump.
+		{"insn budget", audited(k8Machine()), simerr.KindCycleBudget, insnBudget, insnBudget},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, want := failure(t, tc.cfg, tc.run), failure(t, audited(tc.cfg), tc.run)
-			if got.Kind != tc.kind || got.Cycle != want.Cycle || got.Message != want.Message || got.Dump != want.Dump {
-				t.Fatalf("failure moved:\n got %v at cycle %d: %q\nwant %v at cycle %d: %q\n(dumps equal: %v)",
-					got.Kind, got.Cycle, got.Message, want.Kind, want.Cycle, want.Message, got.Dump == want.Dump)
+			want := failure(t, tc.cfg, tc.ref)
+			for name, cfg := range map[string]Config{"jumped": tc.cfg, "audited": audited(tc.cfg)} {
+				got := failure(t, cfg, tc.run)
+				if got.Kind != tc.kind || got.Cycle != want.Cycle || got.Message != want.Message || got.Dump != want.Dump {
+					t.Fatalf("%s: failure moved:\n got %v at cycle %d: %q\nwant %v at cycle %d: %q\n(dumps equal: %v)",
+						name, got.Kind, got.Cycle, got.Message, want.Kind, want.Cycle, want.Message, got.Dump == want.Dump)
+				}
 			}
 		})
 	}
@@ -222,9 +335,9 @@ func TestHorizonDoesNotAllocate(t *testing.T) {
 
 // TestPairRunsAreDeterministic: two SMT threads of one core, and two
 // cores under MOESI, contending for one locked line while each waits on
-// its own misses. Each machine runs twice as it is and once under the
-// auditor (stepped); cycles, console, stats tree and event log are equal
-// across the three. One stalled core beside a busy one must not be
+// its own misses. Each machine runs twice as it is, once under the
+// auditor and once on the every-cycle reference; cycles, console, stats
+// tree and event log are equal across the four. One stalled core beside a busy one must not be
 // jumped, a halted VCPU beside a running one must be clocked, and
 // recoveries raised in the same cycle must be applied in the same order
 // every time.
@@ -238,8 +351,10 @@ func TestPairRunsAreDeterministic(t *testing.T) {
 		cfg  Config
 	}{{"smt2", smt}, {"two cores moesi", moesi}} {
 		t.Run(tc.name, func(t *testing.T) {
-			var fps []fingerprint
-			var jumped []uint64
+			ref := bootPair(t, tc.cfg)
+			finished(t, ref, runCycleByCycle(ref, 50_000_000), "pair ok 0")
+			fps := []fingerprint{fingerprintOf(t, ref)}
+			jumped := []uint64{0}
 			for _, cfg := range []Config{tc.cfg, tc.cfg, audited(tc.cfg)} {
 				m := bootPair(t, cfg)
 				runToShutdown(t, m, "pair ok 0")
@@ -253,15 +368,18 @@ func TestPairRunsAreDeterministic(t *testing.T) {
 					t.Fatal("no lock replay: the VCPUs never contended for the line")
 				}
 			}
-			if fps[0] != fps[1] {
-				t.Fatalf("two runs differ:\n%+v\n%+v", fps[0], fps[1])
+			if fps[1] != fps[2] {
+				t.Fatalf("two runs differ:\n%+v\n%+v", fps[1], fps[2])
 			}
-			if fps[0] != fps[2] {
-				t.Fatalf("jumped run differs from the stepped one:\n got %+v\nwant %+v", fps[0], fps[2])
+			if fps[1] != fps[0] {
+				t.Fatalf("jumped run differs from the stepped one:\n got %+v\nwant %+v", fps[1], fps[0])
 			}
-			t.Logf("%d cycles, %d jumped", fps[0].cycles, jumped[0])
-			if jumped[0] == 0 || jumped[2] != jumped[0] {
-				t.Fatalf("jumped %d cycles (the audited machine stepped through %d)", jumped[0], jumped[2])
+			if fps[3] != fps[0] {
+				t.Fatalf("audited run differs from the stepped one:\n got %+v\nwant %+v", fps[3], fps[0])
+			}
+			t.Logf("%d cycles, %d jumped", fps[1].cycles, jumped[1])
+			if jumped[1] == 0 || jumped[3] != jumped[1] {
+				t.Fatalf("jumped %d cycles (the audited machine stepped through %d)", jumped[1], jumped[3])
 			}
 		})
 	}
