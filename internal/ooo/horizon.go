@@ -17,16 +17,25 @@ import (
 // In every cycle of [now, NextEvent) a call of Cycle would change only
 // what SkipTo advances. It is deliberately conservative — a queue that
 // has to be scanned, a replay loop that backs off one cycle at a time
-// and a core that has never been clocked all answer now. The tests are
-// those of the stages, in the order of Cycle; the cheap ones that
-// usually end it come first.
+// and a core that has never been clocked all answer now.
+//
+// The machine asks before every cycle, so the answer of a busy core must
+// cost next to nothing: a completion that is due — most cycles of a busy
+// guest have one — is tested here, where the compiler inlines it into
+// the caller's loop, and the rest only otherwise.
 func (c *Core) NextEvent(now uint64) uint64 {
+	if len(c.compl) > 0 && c.compl[0].due <= now {
+		return now
+	}
+	return c.nextEvent(now)
+}
+
+// nextEvent is NextEvent for a core with no completion due: the tests of
+// the other stages, in the order of Cycle.
+func (c *Core) nextEvent(now uint64) uint64 {
 	h := never
-	// Writeback: the earliest scheduled completion.
 	if len(c.compl) > 0 {
-		if h = c.compl[0].due; h <= now {
-			return now
-		}
+		h = c.compl[0].due // writeback: the earliest scheduled completion
 	}
 	// Issue: a queue sleeps until wakeAt; 0 means it must be scanned.
 	for q := range c.iqs {
