@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"ptlsim/internal/evlog"
+	"ptlsim/internal/guest"
 	"ptlsim/internal/hv"
 	"ptlsim/internal/kern"
 	"ptlsim/internal/mem"
@@ -21,77 +21,23 @@ import (
 	"ptlsim/internal/x86"
 )
 
-// Guests of the machine-level tests of the next-event clock. Nothing in
-// this file refers to the clock itself, so that it also builds against
-// a tree from before it (which is how testdata/stats_paths.txt was
-// recorded).
+// Guests of the machine-level tests of the next-event clock.
 
 var update = flag.Bool("update", false, "rewrite testdata/stats_paths.txt from this tree's stats tree")
 
-// smallChase is guest.ChaseBenchmark at test size: a pointer chase over a
-// permutation of the 4,096 lines of a 256 KiB region (64 pages against
-// the K8 core's 32-entry DTLB; every first touch misses to memory), one
-// stride-64 store sweep over it, then "chase ok" on the console. A timer
-// period of a few thousand cycles makes most ticks fire while a miss is
-// outstanding; 0 means no timer at all.
-func smallChase(t testing.TB, timerPeriod uint64) kern.BuildSpec {
+// bootChase builds guest.ChaseBenchmark at test size into a machine in
+// simulation mode with an event log attached: a pointer chase of 1,200
+// steps over the 4,096 lines of a 256 KiB region (64 pages against the
+// K8 core's 32-entry DTLB; every first touch misses to memory) and one
+// store sweep over it. A timer period of a few thousand cycles makes
+// most ticks fire while a miss is outstanding; 0 is the kernel's
+// default period.
+func bootChase(t testing.TB, timerPeriod uint64, cfg Config) *Machine {
 	t.Helper()
-	const (
-		region = 256 << 10
-		line   = 64
-		lines  = region / line
-		steps  = 1200
-		base   = int64(kern.UserDataVA)
-		msg    = base + region
-	)
-	data := make([]byte, region)
-	for i := 0; i < lines; i++ {
-		next := (i*20501 + 12345) % lines
-		binary.LittleEndian.PutUint64(data[i*line:], kern.UserDataVA+uint64(next)*line)
-	}
-	a := x86.NewAssembler(kern.UserTextVA)
-	a.Mov(x86.R(x86.RAX), x86.I(base))
-	a.Mov(x86.R(x86.RCX), x86.I(steps))
-	chase := a.Mark()
-	a.Mov(x86.R(x86.RAX), x86.M(x86.RAX, 0))
-	a.Dec(x86.R(x86.RCX))
-	a.Jcc(x86.CondNE, chase)
-	a.Mov(x86.R(x86.RDX), x86.R(x86.RAX))
-	a.Mov(x86.R(x86.RDI), x86.I(base))
-	a.Mov(x86.R(x86.RCX), x86.I(lines/8))
-	sweep := a.Mark()
-	for u := int32(0); u < 8; u++ {
-		a.Mov(x86.M(x86.RDI, u*line+16), x86.R(x86.RDX))
-	}
-	a.Inc(x86.R(x86.RDX))
-	a.Add(x86.R(x86.RDI), x86.I(8*line))
-	a.Dec(x86.R(x86.RCX))
-	a.Jcc(x86.CondNE, sweep)
-	const text = "chase ok\n"
-	a.Mov(x86.R(x86.RDI), x86.I(msg))
-	for i := 0; i < len(text); i++ {
-		a.Movb(x86.M(x86.RDI, int32(i)), x86.I(int64(text[i])))
-	}
-	a.Mov(x86.R(x86.RSI), x86.I(int64(len(text))))
-	a.Mov(x86.R(x86.RAX), x86.I(kern.SysConsWrite))
-	a.Syscall()
-	a.Mov(x86.R(x86.RAX), x86.I(kern.SysExit))
-	a.Syscall()
-	code, err := a.Bytes()
+	spec, err := guest.Chase(256<<10, 1200, 1, timerPeriod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return kern.BuildSpec{
-		Procs:       []kern.ProcSpec{{Name: "chase", Code: code, Data: data, DataPages: region/4096 + 1}},
-		TimerPeriod: timerPeriod,
-	}
-}
-
-// bootChase builds smallChase into a machine in simulation mode with an
-// event log attached.
-func bootChase(t testing.TB, timerPeriod uint64, cfg Config) *Machine {
-	t.Helper()
-	spec := smallChase(t, timerPeriod)
 	spec.Tree = stats.NewTree()
 	img, err := kern.Build(spec)
 	if err != nil {

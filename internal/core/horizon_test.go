@@ -232,7 +232,7 @@ func TestHungMemoryEndsWhereSteppingEnds(t *testing.T) {
 	const hangAt, forever = 3000, 1 << 62 // in the chase
 	failure := func(t *testing.T, cfg Config, run func(m *Machine) error) *simerr.SimError {
 		t.Helper()
-		m := bootChase(t, 0, cfg) // no timer: nothing wakes the guest
+		m := bootChase(t, 0, cfg) // the kernel's default tick, every 2.2M cycles
 		hangMemory(m, hangAt, forever)
 		err := run(m)
 		se, ok := simerr.As(err)

@@ -33,16 +33,23 @@ import (
 // MemwalkChaseSteps' 5/8), two sweep passes against four, no per-line
 // sum, no read-back and no checksum.
 func ChaseBenchmark() (kern.BuildSpec, error) {
+	const region = 4 << 20
+	return Chase(region, 3*(region/64)/8, 2, 220_000)
+}
+
+// Chase builds the guest ChaseBenchmark describes at any size: steps
+// dependent loads through a full-period permutation of the 64-byte lines
+// of a region of `region` bytes (a power of two), then `passes` store
+// sweeps over it, then "chase ok". Tests run it small, with a timer
+// period short enough for ticks to land inside misses.
+func Chase(region, steps, passes int, timerPeriod uint64) (kern.BuildSpec, error) {
 	const (
-		region = 4 << 20
 		line   = 64
-		lines  = region / line
-		steps  = 3 * lines / 8
-		passes = 2
 		unroll = 8
 		base   = int64(kern.UserDataVA)
-		msg    = base + region
 	)
+	lines := region / line
+	msg := base + int64(region)
 	data := make([]byte, region)
 	for i := 0; i < lines; i++ {
 		// An LCG with multiplier ≡ 1 (mod 4) and odd increment visits
@@ -52,7 +59,7 @@ func ChaseBenchmark() (kern.BuildSpec, error) {
 	}
 	a := x86.NewAssembler(kern.UserTextVA)
 	a.Mov(x86.R(x86.RAX), x86.I(base))
-	a.Mov(x86.R(x86.RCX), x86.I(steps))
+	a.Mov(x86.R(x86.RCX), x86.I(int64(steps)))
 	chase := a.Mark()
 	a.Mov(x86.R(x86.RAX), x86.M(x86.RAX, 0))
 	a.Dec(x86.R(x86.RCX))
@@ -60,10 +67,10 @@ func ChaseBenchmark() (kern.BuildSpec, error) {
 	// Stride-64 store sweep: RDX changes per iteration so that no store
 	// repeats the last one's value.
 	a.Mov(x86.R(x86.RDX), x86.R(x86.RAX))
-	a.Mov(x86.R(x86.R10), x86.I(passes))
+	a.Mov(x86.R(x86.R10), x86.I(int64(passes)))
 	pass := a.Mark()
 	a.Mov(x86.R(x86.RDI), x86.I(base))
-	a.Mov(x86.R(x86.RCX), x86.I(lines/unroll))
+	a.Mov(x86.R(x86.RCX), x86.I(int64(lines/unroll)))
 	sweep := a.Mark()
 	for u := int32(0); u < unroll; u++ {
 		a.Mov(x86.M(x86.RDI, u*line+16), x86.R(x86.RDX))
@@ -90,6 +97,6 @@ func ChaseBenchmark() (kern.BuildSpec, error) {
 	}
 	return kern.BuildSpec{
 		Procs:       []kern.ProcSpec{{Name: "chase", Code: code, Data: data, DataPages: region/4096 + 1}},
-		TimerPeriod: 220_000,
+		TimerPeriod: timerPeriod,
 	}, nil
 }

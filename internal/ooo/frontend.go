@@ -6,7 +6,6 @@ import (
 	"ptlsim/internal/decode"
 	"ptlsim/internal/evlog"
 	"ptlsim/internal/mem"
-	"ptlsim/internal/stats"
 	"ptlsim/internal/tlb"
 	"ptlsim/internal/uops"
 )
@@ -214,10 +213,14 @@ func (c *Core) renameThread(th *thread, budget int) int {
 
 		class := classOf(u)
 		cl, stall := c.renameCheck(th, u, class)
-		if stall != renameOK {
-			if ctr := stall.counter(c); ctr != nil {
-				ctr.Inc()
-			}
+		switch stall {
+		case stallROB:
+			c.cFetchStallROB.Inc()
+			return budget
+		case stallIQ:
+			c.cFetchStallIQ.Inc()
+			return budget
+		case stallQuiet:
 			return budget
 		}
 		rd, fl := int32(-1), int32(-1)
@@ -317,18 +320,6 @@ const (
 	stallIQ                // every issue queue of the uop's class full: counted in stall.iq_full
 	stallQuiet             // LDQ or STQ full, or too few free physical registers: counts nothing
 )
-
-// counter returns the counter a stalled rename stage adds one to per
-// cycle and stalled thread (nil when the reason counts nothing).
-func (s renameStall) counter(c *Core) *stats.Counter {
-	switch s {
-	case stallROB:
-		return c.cFetchStallROB
-	case stallIQ:
-		return c.cFetchStallIQ
-	}
-	return nil
-}
 
 // renameCheck decides, without changing anything, whether th can rename
 // uop u (of op class class) now: the issue queue it would go to, or the

@@ -69,6 +69,8 @@ type clockRun struct {
 	tree *stats.Tree
 	log  *evlog.Log
 
+	// cyc is the next cycle to run; step and jump continue from it.
+	cyc uint64
 	// events lists the cycles at which an event upcall is raised on
 	// thread 0 (the machine's timer firing), ascending.
 	events []uint64
@@ -157,48 +159,46 @@ func (r *clockRun) cycle(cyc uint64) error {
 	return err
 }
 
-// step is the reference: every cycle through Cycle.
-func (r *clockRun) step(limit uint64) (uint64, error) {
-	cyc := uint64(0)
-	for ; cyc < limit && !r.done(); cyc++ {
-		r.raise(cyc)
-		if err := r.cycle(cyc); err != nil {
-			return cyc, err
+// step is the reference: every cycle up to limit through Cycle.
+func (r *clockRun) step(limit uint64) error {
+	for ; r.cyc < limit && !r.done(); r.cyc++ {
+		r.raise(r.cyc)
+		if err := r.cycle(r.cyc); err != nil {
+			return err
 		}
 	}
-	return cyc, nil
+	return nil
 }
 
-// jump drives the core the way core.Machine.stepSim does: ask for the
-// horizon, bound it by the next external event and the run's limit,
-// account for the span with SkipTo, run the cycle at the horizon.
-func (r *clockRun) jump(t *testing.T, limit uint64) (uint64, error) {
+// jump drives the core up to limit the way core.Machine.stepSim does:
+// ask for the horizon, bound it by the next external event and the run's
+// limit, account for the span with SkipTo, run the cycle at the horizon.
+func (r *clockRun) jump(t *testing.T, limit uint64) error {
 	t.Helper()
-	cyc := uint64(0)
-	for cyc < limit && !r.done() {
-		next := r.raise(cyc)
-		if h := r.c.NextEvent(cyc); h > cyc {
+	for r.cyc < limit && !r.done() {
+		next := r.raise(r.cyc)
+		if h := r.c.NextEvent(r.cyc); h > r.cyc {
 			r.classify(h, next)
 			h = min(h, next, limit)
 			if h == never {
-				t.Fatalf("cycle %d: nothing scheduled and no bound", cyc)
+				t.Fatalf("cycle %d: nothing scheduled and no bound", r.cyc)
 			}
-			if err := r.c.SkipTo(cyc, h, false); err != nil {
-				return cyc, err
+			if err := r.c.SkipTo(r.cyc, h, false); err != nil {
+				return err
 			}
-			r.jumped += h - cyc
+			r.jumped += h - r.cyc
 			r.spans++
-			if cyc = h; cyc >= limit {
+			if r.cyc = h; r.cyc >= limit {
 				break
 			}
-			r.raise(cyc)
+			r.raise(r.cyc)
 		}
-		if err := r.cycle(cyc); err != nil {
-			return cyc, err
+		if err := r.cycle(r.cyc); err != nil {
+			return err
 		}
-		cyc++
+		r.cyc++
 	}
-	return cyc, nil
+	return nil
 }
 
 // classify records which source set the horizon h of a quiet span.
@@ -240,12 +240,12 @@ type outcome struct {
 	progress uint64
 }
 
-func (r *clockRun) outcome(t *testing.T, cycles uint64) outcome {
+func (r *clockRun) outcome(t *testing.T) outcome {
 	t.Helper()
 	if err := r.c.Audit(); err != nil {
 		t.Fatalf("audit after the run: %v", err)
 	}
-	o := outcome{cycles: cycles, insns: r.c.Insns(), stats: statsFNV(r.tree),
+	o := outcome{cycles: r.cyc, insns: r.c.Insns(), stats: statsFNV(r.tree),
 		robFull: r.c.cFetchStallROB.Value(), iqFull: r.c.cFetchStallIQ.Value(),
 		irqs: r.c.cInterrupts.Value(), progress: r.c.lastProgress}
 	if r.log != nil {
@@ -296,19 +296,18 @@ func TestJumpingMatchesStepping(t *testing.T) {
 			const limit = 2_000_000
 			ref := newClockRun(t, tc.code(t), tc.cfg, tc.threads, tc.evlog)
 			ref.events = tc.events
-			cyc, err := ref.step(limit)
-			if err != nil || !ref.done() {
-				t.Fatalf("stepped run: cycle %d, done %v: %v", cyc, ref.done(), err)
+			if err := ref.step(limit); err != nil || !ref.done() {
+				t.Fatalf("stepped run: cycle %d, done %v: %v", ref.cyc, ref.done(), err)
 			}
-			want := ref.outcome(t, cyc)
+			want := ref.outcome(t)
 
 			run := newClockRun(t, tc.code(t), tc.cfg, tc.threads, tc.evlog)
 			run.events = tc.events
-			cyc, err = run.jump(t, limit)
-			if err != nil || !run.done() {
-				t.Fatalf("jumping run: cycle %d, done %v: %v", cyc, run.done(), err)
+			if err := run.jump(t, limit); err != nil || !run.done() {
+				t.Fatalf("jumping run: cycle %d, done %v: %v", run.cyc, run.done(), err)
 			}
-			if got := run.outcome(t, cyc); got != want {
+			cyc := run.cyc
+			if got := run.outcome(t); got != want {
 				t.Fatalf("jumping run differs from the stepped one:\n got %+v\nwant %+v", got, want)
 			}
 			t.Logf("%d of %d cycles jumped in %d spans; ended by completion %d, queue wake %d, fetch stall %d, event %d; %d events raised on a quiet core",
@@ -340,35 +339,18 @@ func TestWatchdogReportUnderJumping(t *testing.T) {
 	report := func(jump bool) *simerr.SimError {
 		r := newClockRun(t, progStall(t), K8Config(), 1, false)
 		r.c.SetWatchdog(700)
-		for cyc := uint64(0); cyc < 900; cyc++ {
-			if err := r.cycle(cyc); err != nil {
-				t.Fatal(err)
-			}
+		if err := r.step(900); err != nil {
+			t.Fatal(err)
 		}
 		r.c.Hierarchy().SetResponseDelay(1 << 40)
 		var err error
 		if jump {
-			// Continue from cycle 900 with the jumping driver's loop.
-			cyc := uint64(900)
-			for err == nil && cyc < 100_000 {
-				if h := r.c.NextEvent(cyc); h > cyc {
-					r.classify(h, never)
-					if err = r.c.SkipTo(cyc, h, false); err != nil {
-						break
-					}
-					r.jumped += h - cyc
-					cyc = h
-				}
-				err = r.cycle(cyc)
-				cyc++
-			}
+			err = r.jump(t, 100_000)
 			if r.jumped == 0 || r.byWatchdog == 0 {
 				t.Fatalf("jumped %d cycles, %d spans ended by the watchdog: the report was reached by stepping", r.jumped, r.byWatchdog)
 			}
 		} else {
-			for cyc := uint64(900); err == nil && cyc < 100_000; cyc++ {
-				err = r.cycle(cyc)
-			}
+			err = r.step(100_000)
 		}
 		se, ok := simerr.As(err)
 		if !ok || se.Kind != simerr.KindLivelock {
@@ -392,12 +374,11 @@ func TestCommitLimitIsQuietNotStuck(t *testing.T) {
 		r := newClockRun(t, progStall(t), K8Config(), 1, false)
 		r.c.SetWatchdog(2000) // the cold start alone takes 300 cycles to its first commit
 		r.c.SetCommitLimit(60)
-		var cyc uint64
 		var err error
 		if jump {
-			cyc, err = r.jump(t, 12_000)
+			err = r.jump(t, 12_000)
 		} else {
-			cyc, err = r.step(12_000)
+			err = r.step(12_000)
 		}
 		if err != nil {
 			t.Fatalf("jump=%v: %v", jump, err)
@@ -405,7 +386,7 @@ func TestCommitLimitIsQuietNotStuck(t *testing.T) {
 		if r.c.Insns() != 60 {
 			t.Fatalf("jump=%v: %d instructions committed, limit 60", jump, r.c.Insns())
 		}
-		return r.outcome(t, cyc), r.jumped
+		return r.outcome(t), r.jumped
 	}
 	want, _ := run(false)
 	got, jumped := run(true)
@@ -460,20 +441,18 @@ func TestNextEventDoesNotAllocate(t *testing.T) {
 func TestAuditorStepsAndChecksQuietSpans(t *testing.T) {
 	plain := newClockRun(t, progStall(t), K8Config(), 1, true)
 	plain.events = everyNth(331, 40_000)
-	cyc, err := plain.jump(t, 2_000_000)
-	if err != nil {
+	if err := plain.jump(t, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	want := plain.outcome(t, cyc)
+	want := plain.outcome(t)
 
 	audited := newClockRun(t, progStall(t), K8Config(), 1, true)
 	audited.events = everyNth(331, 40_000)
 	audited.c.SetAudit(64)
-	cyc, err = audited.jump(t, 2_000_000)
-	if err != nil {
+	if err := audited.jump(t, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if got := audited.outcome(t, cyc); got != want {
+	if got := audited.outcome(t); got != want {
 		t.Fatalf("audited (stepped) run differs from the jumping one:\n got %+v\nwant %+v", got, want)
 	}
 

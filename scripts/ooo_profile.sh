@@ -8,10 +8,12 @@
 # miss buffers and the tag-array fill are what a miss-bound guest pays
 # for besides the stages), then the top allocation sites. No simulator
 # option is involved: this is `go test -bench` plus `go tool pprof`,
-# three runs per guest, output in ooo-profile-data/ (git-ignored).
+# three runs of the rsync guest and twelve of the memwalk-like one (a
+# seventh of a second each since its quiet cycles are jumped over, so
+# more of them for as many samples), output in ooo-profile-data/
+# (git-ignored).
 set -eu
 
-runs=3
 out=ooo-profile-data
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
@@ -26,7 +28,9 @@ top() {
 		grep -E 'flat%|ooo\.\(\*Core\)\.|core\.\(\*Machine\)\.|cache\.\(\*'
 }
 
-for guest in rsync memwalk-like; do
+for run in rsync:3 memwalk-like:12; do
+	guest=${run%:*}
+	runs=${run#*:}
 	echo "== BenchmarkCoreCycle/$guest ($runs runs)"
 	go test ./internal/ooo/ -run '^$' -bench "BenchmarkCoreCycle/$guest\$" \
 		-benchtime "${runs}x" -cpu 1 -o "$out/ooo.test" \
