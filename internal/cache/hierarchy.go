@@ -355,11 +355,16 @@ func (h *Hierarchy) mshrAlloc(lineAddr, now, fillLatency uint64) (uint64, bool) 
 
 // mshrInFlight is the L1-hit path's merge: if the line's fill is still
 // outstanding after cycle ready, the hit completes with it. Nearly every
-// hit finds nothing outstanding that late and does not probe.
+// hit finds nothing outstanding that late; that test is all the compiler
+// inlines into the access path, the probe is a call.
 func (h *Hierarchy) mshrInFlight(lineAddr, ready uint64) (uint64, bool) {
 	if ready >= h.mshrs.latest {
 		return 0, false
 	}
+	return h.mshrProbe(lineAddr, ready)
+}
+
+func (h *Hierarchy) mshrProbe(lineAddr, ready uint64) (uint64, bool) {
 	fill, ok := h.mshrs.find(lineAddr)
 	if !ok || fill <= ready {
 		return 0, false
