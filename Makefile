@@ -38,11 +38,11 @@ restart-soak:
 	./scripts/restart_soak.sh
 
 # fuzz-smoke runs each fuzz target briefly (the -fuzz flag accepts one
-# target per invocation) — the decoder, the two readers of bytes a
-# crash can tear (the job store's replay and the journal reader), the
-# differential check of the host-side translation cache against bare
-# page walks, and the cache hierarchy's miss buffers against the list
-# they replaced. A regression smoke over the seed corpus plus a short
+# target per invocation) — the decoder, the three readers of bytes a
+# crash can tear (the job store's replay, the journal reader and the
+# checkpoint file reader), the differential check of the host-side
+# translation cache against bare page walks, and the cache hierarchy's
+# miss buffers against the list they replaced. A regression smoke over the seed corpus plus a short
 # mutation budget, not a campaign. Longer runs:
 # go test ./internal/decode/ -fuzz FuzzBuildBB -fuzztime 10m
 FUZZTIME ?= 10s
@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test ./internal/decode/ -run '^$$' -fuzz '^FuzzBuildBBPaged$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/jobd/ -run '^$$' -fuzz '^FuzzStoreReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/supervisor/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz '^FuzzReadFile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm/ -run '^$$' -fuzz '^FuzzTranslateCoherent$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzMSHRAlloc$$' -fuzztime $(FUZZTIME)
 

@@ -7,7 +7,6 @@
 // Examples:
 //
 //	ptlmon                       # boot the rsync benchmark, show console
-//	ptlmon -info                 # boot and print domain information
 //	ptlmon -record trace.bin     # record device events during the run
 //	ptlmon -replay trace.bin     # re-run with injected trace events
 //	ptlmon -journal run.jsonl    # summarize a supervised run's journal
@@ -33,7 +32,6 @@ func main() {
 	var (
 		record  = flag.String("record", "", "record device events to this file")
 		replay  = flag.String("replay", "", "inject device events from this file")
-		info    = flag.Bool("info", false, "print domain information after the run")
 		nfiles  = flag.Int("nfiles", 4, "corpus file count")
 		fsize   = flag.Int("filesize", 8192, "corpus file size")
 		mode    = flag.String("mode", "native", "execution engine: native | sim")
@@ -77,7 +75,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	dom, tree := m.Dom, m.Tree
+	dom := m.Dom
 
 	var rec *trace.Recorder
 	if *record != "" {
@@ -118,13 +116,6 @@ func main() {
 		}
 		f.Close()
 		fmt.Printf("ptlmon: recorded %d device events to %s\n", len(tr.Events), *record)
-	}
-	if *info {
-		fmt.Printf("ptlmon: %s\n", dom)
-		fmt.Printf("ptlmon: hypercalls=%d events=%d timer-fires=%d\n",
-			tree.Lookup("hv.hypercalls").Value(),
-			tree.Lookup("hv.events.sent").Value(),
-			tree.Lookup("hv.timer.fires").Value())
 	}
 }
 

@@ -53,7 +53,6 @@ func main() {
 		filesize   = flag.Int("filesize", 0, "override corpus file size (multiple of 512)")
 		change     = flag.Float64("change", -1, "override corpus change fraction")
 		timer      = flag.Uint64("timer", 0, "guest timer period in cycles (0 = default)")
-		snapCycles = flag.Uint64("snapshot-cycles", 0, "statistics snapshot interval")
 		maxCycles  = flag.Uint64("maxcycles", defaultMaxCycles, "abort after this many cycles (0 = unlimited)")
 		watchdog   = flag.Uint64("watchdog", 10_000_000, "fail if a core commits nothing for this many cycles (0 = off)")
 		selfcheckF = flag.Bool("selfcheck", false, "attach the lockstep commit oracle: shadow every commit on a sequential reference core")
@@ -74,18 +73,13 @@ func main() {
 		fuzzF      = flag.Bool("fuzz", false, "run a differential conformance fuzz campaign instead of the benchmark")
 		fuzzSeqs   = flag.Int("fuzz-seqs", 1000, "fuzz: sequences to generate and dual-execute")
 		fuzzSeed   = flag.Int64("fuzz-seed", 1, "fuzz: campaign seed (same seed regenerates the same stream)")
-		fuzzInsns  = flag.Int64("fuzz-max-insns", 0, "fuzz: per-case committed-instruction budget (0 = default)")
-		fuzzUnits  = flag.Int("fuzz-max-units", 0, "fuzz: max instruction units per sequence (0 = default)")
-		fuzzTSeeds = flag.Int("fuzz-timing-seeds", 0, "fuzz: extra scrambled-predictor timing seeds per case")
 		fuzzOut    = flag.String("fuzz-promote", "", "fuzz: write minimized reproducers into this directory")
 		fuzzBench  = flag.String("fuzz-bench-out", "", "fuzz: write campaign throughput metrics as JSON")
 		simInsns   = flag.Int64("sim-insns", 100_000, "sampled mode: simulated instructions per period")
 		natInsns   = flag.Int64("native-insns", 900_000, "sampled mode: native instructions per period")
 		statsOut   = flag.String("stats-out", "", "write snapshot series as JSON for ptlstats")
 		out        = flag.String("o", "", "write report to file instead of stdout")
-		dumpStats  = flag.String("dump", "", "dump final counters matching this prefix")
 		evlogOut   = flag.String("evlog", "", "record the pipeline event-log ring and write it as JSONL (render with ptlstats -pipeline)")
-		evlogSize  = flag.Int("evlog-size", evlog.DefaultSize, "event-log ring capacity (rounded up to a power of two)")
 	)
 	flag.Parse()
 
@@ -121,9 +115,6 @@ func main() {
 	if *timer > 0 {
 		cfg.TimerPeriod = *timer
 	}
-	if *snapCycles > 0 {
-		cfg.SnapshotCycles = *snapCycles
-	}
 	// -maxcycles always wins when given explicitly (including 0 for
 	// unlimited); otherwise the default budget applies unless the
 	// experiment scale configured its own.
@@ -144,10 +135,8 @@ func main() {
 
 	if *fuzzF {
 		runFuzz(ctx, w, conformance.CampaignConfig{
-			Run:  conformance.Config{MaxInsns: *fuzzInsns},
-			Seqs: *fuzzSeqs, Seed: *fuzzSeed, MaxUnits: *fuzzUnits,
-			PromoteDir: *fuzzOut,
-		}, *fuzzTSeeds, *inject, *journalOut, *fuzzBench)
+			Seqs: *fuzzSeqs, Seed: *fuzzSeed, PromoteDir: *fuzzOut,
+		}, *inject, *journalOut, *fuzzBench)
 		return
 	}
 
@@ -187,7 +176,7 @@ func main() {
 
 	var elog *evlog.Log
 	if *evlogOut != "" {
-		elog = evlog.New(*evlogSize)
+		elog = evlog.New(evlog.DefaultSize)
 		m.SetEventLog(elog)
 	}
 	// writeEvlog lands the recorded ring as JSONL — on every exit path,
@@ -288,12 +277,6 @@ func main() {
 
 	fmt.Fprintf(w, "console output:\n%s\n", m.Dom.Console())
 	fmt.Fprintf(w, "cycles: %d  instructions: %d\n", m.Cycle, m.Insns())
-	if *dumpStats != "" {
-		final := tree.Snapshot(m.Cycle)
-		if err := final.WriteTable(w, *dumpStats); err != nil {
-			fatal(err)
-		}
-	}
 	if *statsOut != "" {
 		if err := writeStats(*statsOut, m, tree); err != nil {
 			fatal(err)
@@ -305,8 +288,8 @@ func main() {
 // them through both engines under the commit oracle, shrink and
 // promote findings. Exits nonzero when the campaign found anything.
 func runFuzz(ctx context.Context, w *os.File, cc conformance.CampaignConfig,
-	timingSeeds int, inject, journal, benchOut string) {
-	cc, err := conformance.NewCampaign(cc, timingSeeds, inject)
+	inject, journal, benchOut string) {
+	cc, err := conformance.NewCampaign(cc, 0, inject)
 	if err != nil {
 		fatal(err)
 	}
@@ -370,6 +353,8 @@ func runExperiment(w *os.File, name string, cfg experiments.Config) {
 		}
 		fmt.Fprintf(w, "\noverall: user %.1f%%  kernel %.1f%%  idle %.1f%%\n",
 			res.UserPct, res.KernelPct, res.IdlePct)
+		fmt.Fprintf(w, "userspace-only pitfall (§6.4): %.1f%% of cycles unaccounted (kernel+idle), %.1f%% of instructions in the kernel\n",
+			res.KernelPct+res.IdlePct, res.KernelInsnPct)
 	case "figure3":
 		fmt.Fprintf(w, "Figure 3: microarchitectural rates per snapshot interval\n")
 		if err := res.Series.WriteSeries(w, experiments.Figure3Columns()...); err != nil {
@@ -385,10 +370,10 @@ func runExperiment(w *os.File, name string, cfg experiments.Config) {
 
 // statsFile is the JSON schema consumed by cmd/ptlstats.
 type statsFile struct {
-	Cycles    uint64            `json:"cycles"`
-	Final     map[string]int64  `json:"final"`
-	Interval  uint64            `json:"interval"`
-	Snapshots []statsSnapshot   `json:"snapshots"`
+	Cycles    uint64           `json:"cycles"`
+	Final     map[string]int64 `json:"final"`
+	Interval  uint64           `json:"interval"`
+	Snapshots []statsSnapshot  `json:"snapshots"`
 }
 
 type statsSnapshot struct {

@@ -3,8 +3,11 @@
 // K8 hardware-counter reference, the Figure 2 time-lapse of cycles
 // spent in user/kernel/idle mode, the Figure 3 time-lapse of
 // microarchitectural rates, the simulator-throughput measurement, and
-// the §6.4 userspace-only-simulation pitfall quantification. The same
-// harness backs bench_test.go, cmd/ptlsim and the examples.
+// the §6.4 userspace-only-simulation pitfall quantification.
+// ptlsim -experiment table1|figure2|figure3|throughput is its one
+// front end; its tests pin the shape of each result and, in
+// TestAblations, that each design choice measured on the K8 core moves
+// the counters it is about.
 package experiments
 
 import (
@@ -32,8 +35,8 @@ type Config struct {
 	MaxCycles uint64
 }
 
-// BenchScale is the default bench-test scale (fast enough for go test
-// -bench, large enough for stable rates).
+// BenchScale is the default scale (seconds per run, large enough for
+// stable rates).
 func BenchScale() Config {
 	return Config{
 		Corpus:         guest.CorpusSpec{NFiles: 4, FileSize: 8192, Seed: 20070425, ChangeFraction: 0.25},
@@ -80,16 +83,19 @@ type Table1Result struct {
 
 	NativeConsole, SimConsole string
 
-	SimCycles   uint64
-	SimInsns    int64
-	Series      stats.Series
-	SimTree     *stats.Tree
-	NativeTree  *stats.Tree
-	SimWall     time.Duration
-	Throughput  float64 // simulated cycles per wall second
+	SimCycles  uint64
+	SimInsns   int64
+	Series     stats.Series
+	SimTree    *stats.Tree
+	NativeTree *stats.Tree
+	SimWall    time.Duration
+	Throughput float64 // simulated cycles per wall second
 
 	// Mode fractions from the cycle accurate run (Figure 2 / §6.4).
 	UserPct, KernelPct, IdlePct float64
+	// KernelInsnPct is the kernel's share of committed instructions
+	// (§6.4).
+	KernelInsnPct float64
 }
 
 // Scale resolves a workload scale name (small | bench | paper; anything
@@ -168,8 +174,8 @@ func runSim(cfg Config) (*core.Machine, string, time.Duration, error) {
 }
 
 // RunSimWith runs the benchmark on the cycle accurate engine with an
-// arbitrary machine configuration (the ablation benchmarks vary core
-// parameters through this).
+// arbitrary machine configuration (TestAblations varies core parameters
+// through this).
 func RunSimWith(cfg Config, mcfg core.Config) (*core.Machine, string, time.Duration, error) {
 	if mcfg.SnapshotCycles == 0 {
 		mcfg.SnapshotCycles = cfg.SnapshotCycles
@@ -260,6 +266,8 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 		res.KernelPct = pct(get("external.cycles_in_mode.kernel"), total)
 		res.IdlePct = pct(get("external.cycles_in_mode.idle"), total)
 	}
+	kInsns := get("core0.commit.kernel_insns")
+	res.KernelInsnPct = pct(kInsns, kInsns+get("core0.commit.user_insns"))
 	return res, nil
 }
 

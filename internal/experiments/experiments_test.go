@@ -65,8 +65,10 @@ func TestTable1Shape(t *testing.T) {
 		t.Errorf("uop counting: sim %.0f should exceed native triads %.0f",
 			uopsRow.Sim, uopsRow.Native)
 	}
-	// 3. The simpler 1-level 32-entry DTLB must miss substantially more
-	// than the silicon's 2-level + PDE-cache hierarchy (paper: +144%).
+	// 3. The simulated DTLB misses more than the reference's 2-level +
+	// PDE-cache hierarchy (paper: +144%). Not for its 32 entries: with
+	// 1024 it misses exactly as often on rsync, whose misses follow the
+	// flush on every CR3 write (EXPERIMENTS.md, Ablations).
 	tlbRow := row("DTLB Misses")
 	if tlbRow.Sim <= tlbRow.Native {
 		t.Errorf("DTLB: sim %.0f should exceed native %.0f", tlbRow.Sim, tlbRow.Native)
@@ -100,6 +102,9 @@ func TestFigure2ModesPresent(t *testing.T) {
 	// kernel (the paper measured 15% kernel on rsync).
 	if res.KernelPct < 5 {
 		t.Errorf("kernel time %.1f%% implausibly low for this workload", res.KernelPct)
+	}
+	if res.KernelInsnPct <= 0 || res.KernelInsnPct >= 100 {
+		t.Errorf("kernel instruction share %.1f%%", res.KernelInsnPct)
 	}
 	// Figure 2 series renders.
 	var sb strings.Builder

@@ -374,57 +374,46 @@ func (d *Daemon) latencyP50() int64 {
 	return samples[len(samples)/2]
 }
 
-// RetryAfter is the backpressure hint for queue-full rejections:
-// measured queue drain rate — the p50 completed-job latency times the
-// rejected client's expected queue position — so clients back off
-// realistically during recovery storms instead of hammering a constant
-// cadence. Before any job completes it falls back to coldRetryAfter.
+// drainWait is the expected wait of a job with backlog jobs ahead of
+// it: the pool drains Workers jobs per p50 completed-job latency, so the
+// job waits out its share of the backlog plus one full drain cycle. 0
+// while the latency ring is cold.
+func (d *Daemon) drainWait(backlog int) time.Duration {
+	cycles := int64(backlog)/int64(d.cfg.Workers) + 1
+	return time.Duration(cycles*d.latencyP50()) * time.Millisecond
+}
+
+// retryHint turns a drain wait into a Retry-After value: clamped to
+// [1s, 5m], and coldRetryAfter before any job has completed. Clients
+// thus back off at the measured drain rate during recovery storms
+// instead of hammering a constant cadence.
+func retryHint(wait time.Duration) time.Duration {
+	if wait <= 0 {
+		return coldRetryAfter
+	}
+	return min(max(wait, time.Second), 5*time.Minute)
+}
+
+// RetryAfter is the backpressure hint for queue-full rejections: the
+// drain wait of the whole queue.
 func (d *Daemon) RetryAfter() time.Duration {
-	p50 := d.latencyP50()
-	if p50 <= 0 {
-		return coldRetryAfter
-	}
-	// The pool drains Workers jobs per p50 on average; a queue-full
-	// client needs at least one full drain cycle plus its share of the
-	// backlog.
-	return clampRetry(time.Duration(int64(d.queue.Len())/int64(d.cfg.Workers)+1) *
-		time.Duration(p50) * time.Millisecond)
+	return retryHint(d.drainWait(d.queue.Len()))
 }
 
-// RetryAfterTenant is the tenant-scoped backpressure hint for quota and
-// shed rejections: it reflects the *tenant's own* backlog (queued plus
-// running) rather than the global queue, so a throttled greedy tenant
-// backs off on its own drain rate while other tenants keep submitting.
+// RetryAfterTenant is the hint for quota and shed rejections: the drain
+// wait of the tenant's own backlog (queued plus running), so a
+// throttled greedy tenant backs off on its own drain rate while other
+// tenants keep submitting.
 func (d *Daemon) RetryAfterTenant(tenant string) time.Duration {
-	p50 := d.latencyP50()
-	if p50 <= 0 {
-		return coldRetryAfter
-	}
 	tq, tr := d.queue.tenantLoad(tenant)
-	return clampRetry(time.Duration(int64(tq+tr)/int64(d.cfg.Workers)+1) *
-		time.Duration(p50) * time.Millisecond)
+	return retryHint(d.drainWait(tq + tr))
 }
 
-func clampRetry(est time.Duration) time.Duration {
-	if est < time.Second {
-		est = time.Second
-	}
-	if max := 5 * time.Minute; est > max {
-		est = max
-	}
-	return est
-}
-
-// estimatedWaitMs is the expected queue wait for a job admitted now:
-// the measured p50 job latency times the job's expected queue position
-// in worker-drain cycles. 0 when the latency ring is cold — shedding
-// fails open until the daemon has evidence.
+// estimatedWaitMs is the expected queue wait for a job admitted now. 0
+// when the latency ring is cold — shedding fails open until the daemon
+// has evidence.
 func (d *Daemon) estimatedWaitMs() int64 {
-	p50 := d.latencyP50()
-	if p50 <= 0 {
-		return 0
-	}
-	return (int64(d.queue.Len())/int64(d.cfg.Workers) + 1) * p50
+	return d.drainWait(d.queue.Len()).Milliseconds()
 }
 
 // Accepting reports whether new jobs are admitted (false once draining).

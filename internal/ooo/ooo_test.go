@@ -466,9 +466,19 @@ func TestBankConflictsCounted(t *testing.T) {
 		a.Ptlcall()
 	})
 	cfg := K8Config()
-	_, _, tree := runOOO(t, code, cfg, 1_000_000)
-	if tree.Lookup("ooo.bank_replays").Value() == 0 {
+	_, _, banked := runOOO(t, code, cfg, 1_000_000)
+	if banked.Lookup("ooo.bank_replays").Value() == 0 {
 		t.Fatal("expected bank conflict replays with banking enforced")
+	}
+	// The same loads on an ideal unbanked L1: no conflict, and no cycle
+	// the conflicts cost.
+	cfg.EnforceBanking = false
+	_, _, ideal := runOOO(t, code, cfg, 1_000_000)
+	if n := ideal.Lookup("ooo.bank_replays").Value(); n != 0 {
+		t.Fatalf("%d bank conflict replays without banking", n)
+	}
+	if b, i := banked.Lookup("ooo.cycles").Value(), ideal.Lookup("ooo.cycles").Value(); i > b {
+		t.Fatalf("unbanked L1 took %d cycles, banked %d", i, b)
 	}
 }
 

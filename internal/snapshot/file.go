@@ -18,6 +18,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -89,12 +90,7 @@ func (img *Image) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	var hdr [headerSize]byte
-	copy(hdr[0:8], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], FormatVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], img.CfgHash)
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[28:32], crc32.ChecksumIEEE(payload))
+	hdr := header(payload, img.CfgHash)
 
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
@@ -125,6 +121,17 @@ func (img *Image) WriteFile(path string) error {
 		d.Close()
 	}
 	return nil
+}
+
+// header is the file header that parse accepts in front of payload.
+func header(payload []byte, cfgHash uint64) [headerSize]byte {
+	var hdr [headerSize]byte
+	copy(hdr[0:8], magic[:])
+	binary.LittleEndian.PutUint32(hdr[8:12], FormatVersion)
+	binary.LittleEndian.PutUint64(hdr[12:20], cfgHash)
+	binary.LittleEndian.PutUint64(hdr[20:28], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[28:32], crc32.ChecksumIEEE(payload))
+	return hdr
 }
 
 // Info is what Inspect can tell about a checkpoint file without
@@ -162,31 +169,9 @@ func Inspect(path string) (Info, error) {
 	if err != nil {
 		return info, fmt.Errorf("snapshot: %w", err)
 	}
-	info.Size = int64(len(data))
-	if len(data) < 8 || [8]byte(data[0:8]) != magic {
-		info.Err = ErrNotSnapshot.Error()
-		return info, nil
-	}
-	if len(data) < headerSize {
-		info.Err = ErrTruncated.Error()
-		return info, nil
-	}
-	info.Version = binary.LittleEndian.Uint32(data[8:12])
-	info.CfgHash = binary.LittleEndian.Uint64(data[12:20])
-	info.PayloadLen = binary.LittleEndian.Uint64(data[20:28])
-	info.CRC = binary.LittleEndian.Uint32(data[28:32])
-	if info.Version != FormatVersion {
-		info.Err = ErrVersion.Error()
-		return info, nil
-	}
-	if uint64(len(data)-headerSize) != info.PayloadLen {
-		info.Err = fmt.Sprintf("%v: payload %d bytes, header claims %d",
-			ErrTruncated, len(data)-headerSize, info.PayloadLen)
-		return info, nil
-	}
-	payload := data[headerSize:]
-	if crc32.ChecksumIEEE(payload) != info.CRC {
-		info.Err = ErrChecksum.Error()
+	payload, err := parse(data, &info)
+	if err != nil {
+		info.Err = err.Error()
 		return info, nil
 	}
 	img, err := Decode(payload)
@@ -213,26 +198,10 @@ func ReadFile(path string) (*Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	if len(data) < headerSize {
-		if len(data) >= 8 && [8]byte(data[0:8]) != magic {
-			return nil, fmt.Errorf("snapshot: %s: %w", path, ErrNotSnapshot)
-		}
-		return nil, fmt.Errorf("snapshot: %s: %d bytes: %w", path, len(data), ErrTruncated)
-	}
-	if [8]byte(data[0:8]) != magic {
-		return nil, fmt.Errorf("snapshot: %s: %w", path, ErrNotSnapshot)
-	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != FormatVersion {
-		return nil, fmt.Errorf("snapshot: %s: version %d (want %d): %w", path, v, FormatVersion, ErrVersion)
-	}
-	plen := binary.LittleEndian.Uint64(data[20:28])
-	if uint64(len(data)-headerSize) != plen {
-		return nil, fmt.Errorf("snapshot: %s: payload %d bytes, header claims %d: %w",
-			path, len(data)-headerSize, plen, ErrTruncated)
-	}
-	payload := data[headerSize:]
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(data[28:32]) {
-		return nil, fmt.Errorf("snapshot: %s: %w", path, ErrChecksum)
+	var hdr Info
+	payload, err := parse(data, &hdr)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
 	}
 	img, err := Decode(payload)
 	if err != nil {
@@ -240,8 +209,40 @@ func ReadFile(path string) (*Image, error) {
 	}
 	// Trust the payload's own hash over the header copy (they match for
 	// files we wrote; the payload survives the CRC check either way).
-	if h := binary.LittleEndian.Uint64(data[12:20]); img.CfgHash == 0 {
-		img.CfgHash = h
+	if img.CfgHash == 0 {
+		img.CfgHash = hdr.CfgHash
 	}
 	return img, nil
+}
+
+// parse checks a checkpoint file's bytes up to the gob decoder, in the
+// order they can fail: magic (a file shorter than the magic must be a
+// prefix of it), header length, version, payload length, payload CRC.
+// It fills in info's size and header fields as it reads them, and
+// returns the payload as a subslice of data. Its error wraps one of the
+// sentinels above.
+func parse(data []byte, info *Info) ([]byte, error) {
+	info.Size = int64(len(data))
+	if n := min(len(data), len(magic)); !bytes.Equal(data[:n], magic[:n]) {
+		return nil, ErrNotSnapshot
+	}
+	if len(data) < headerSize {
+		return nil, fmt.Errorf("%d bytes: %w", len(data), ErrTruncated)
+	}
+	info.Version = binary.LittleEndian.Uint32(data[8:12])
+	info.CfgHash = binary.LittleEndian.Uint64(data[12:20])
+	info.PayloadLen = binary.LittleEndian.Uint64(data[20:28])
+	info.CRC = binary.LittleEndian.Uint32(data[28:32])
+	if info.Version != FormatVersion {
+		return nil, fmt.Errorf("version %d (want %d): %w", info.Version, FormatVersion, ErrVersion)
+	}
+	payload := data[headerSize:]
+	if uint64(len(payload)) != info.PayloadLen {
+		return nil, fmt.Errorf("payload %d bytes, header claims %d: %w",
+			len(payload), info.PayloadLen, ErrTruncated)
+	}
+	if crc32.ChecksumIEEE(payload) != info.CRC {
+		return nil, ErrChecksum
+	}
+	return payload, nil
 }

@@ -1,10 +1,12 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -213,5 +215,100 @@ func TestWriteFileOverwritesAtomically(t *testing.T) {
 	}
 	if got.Cycle != 1000 || got.VCPUs[0].RIP != 0x2000 {
 		t.Fatalf("overwrite lost data: %+v", got)
+	}
+}
+
+// FuzzReadFile feeds ReadFile and Inspect arbitrary files. Neither may
+// panic, and they must agree: Inspect reports no problem exactly when
+// ReadFile returns an image. With wrap set the input is the payload
+// behind a valid header, so mutations reach the gob decoder instead of
+// stopping at the CRC.
+func FuzzReadFile(f *testing.F) {
+	payload, err := (&Image{Cycle: 42, CfgHash: 0xdeadbeef, VCPUs: []VCPUImage{{RIP: 0x1000}}}).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	hdr := header(payload, 0xdeadbeef)
+	valid := append(hdr[:], payload...)
+	mutated := func(mutate func(d []byte)) []byte {
+		d := append([]byte(nil), valid...)
+		mutate(d)
+		return d
+	}
+	f.Add(valid, false)
+	f.Add(valid[:len(valid)-7], false)
+	f.Add(mutated(func(d []byte) { d[0] = 'X' }), false)
+	f.Add(mutated(func(d []byte) { binary.LittleEndian.PutUint32(d[8:12], FormatVersion+1) }), false)
+	f.Add(mutated(func(d []byte) { d[len(d)-3] ^= 0x40 }), false)
+	f.Add(payload, true)
+	f.Fuzz(func(t *testing.T, data []byte, wrap bool) {
+		if wrap {
+			hdr := header(data, 0)
+			data = append(hdr[:], data...)
+		}
+		path := filepath.Join(t.TempDir(), "f.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		img, rerr := ReadFile(path)
+		info, ierr := Inspect(path)
+		if ierr != nil {
+			t.Fatal(ierr)
+		}
+		if (rerr == nil) != (info.Err == "") {
+			t.Fatalf("ReadFile err = %v, Inspect Err = %q", rerr, info.Err)
+		}
+		if rerr == nil && (info.Cycle != img.Cycle || info.VCPUs != len(img.VCPUs)) {
+			t.Fatalf("Inspect %+v disagrees with the image ReadFile decoded", info)
+		}
+	})
+}
+
+// TestDecodeDoesNotTrustMapCount: a payload whose statistics map claims
+// 2^20 entries but holds one must fail to decode without allocating for
+// the claim (FuzzReadFile's wrapped inputs exhausted memory that way).
+func TestDecodeDoesNotTrustMapCount(t *testing.T) {
+	payload, err := (&Image{Stats: map[string]int64{"a": 1}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The payload is a sequence of length-prefixed gob messages; the
+	// last one is the image. Its map is count 1, key "a", value 1.
+	// A gob uint below 0x80 is one byte; otherwise the byte is minus the
+	// count of big-endian bytes that follow.
+	var start, n int
+	for pos := 0; pos < len(payload); pos += n {
+		v, w := int(payload[pos]), 0
+		if v >= 0x80 {
+			v, w = 0, int(-int8(payload[pos]))
+			for _, c := range payload[pos+1 : pos+1+w] {
+				v = v<<8 | int(c)
+			}
+		}
+		start, n = pos, 1+w+v
+	}
+	if payload[start] >= 0x80 {
+		t.Fatalf("image message longer than 127 bytes")
+	}
+	msg := payload[start+1:]
+	i := bytes.Index(msg, []byte{1, 1, 'a', 2})
+	if i < 0 {
+		t.Fatalf("no map entry in %x", msg)
+	}
+	// 0xFD: a three-byte big-endian count follows.
+	msg = append(append(append([]byte{}, msg[:i]...), 0xFD, 0x10, 0, 0), msg[i+1:]...)
+	if len(msg) >= 0x80 {
+		t.Fatalf("patched message %d bytes", len(msg))
+	}
+	bad := append(append(append([]byte{}, payload[:start]...), byte(len(msg))), msg...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Decode(bad); err == nil {
+		t.Fatal("decoded a map that claims 2^20 entries and holds one")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("decode allocated %d bytes for a %d-byte payload", grew, len(bad))
 	}
 }

@@ -191,7 +191,10 @@ func (img *Image) Encode() ([]byte, error) {
 
 // Decode deserializes an image produced by Encode.
 func Decode(data []byte) (*Image, error) {
-	var img Image
+	// gob sizes a nil map by the entry count the payload claims, before
+	// reading any entry: a damaged count would allocate without bound.
+	// Into an existing map it inserts only the entries actually read.
+	img := Image{Stats: map[string]int64{}}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
 		return nil, fmt.Errorf("snapshot: decode: %w", err)
 	}
