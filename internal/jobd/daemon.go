@@ -89,9 +89,6 @@ const (
 	// job has completed; after that the hint is the measured queue drain
 	// rate (p50 job latency × queue position).
 	coldRetryAfter = 2 * time.Second
-	// heartbeatMs is the worker's heartbeat cadence, stamped into every
-	// spec the daemon hands a worker.
-	heartbeatMs = 250
 )
 
 func (cfg *Config) applyDefaults() {
@@ -147,9 +144,9 @@ var (
 )
 
 // job is the daemon's runtime handle on one job it has to run: what it
-// needs to schedule, budget and stop the job's workers. It is immutable
-// once queued and holds none of the job's lifecycle state — that lives
-// in the store's JobState and nowhere else.
+// needs to schedule and budget the job's workers. It is immutable once
+// queued and holds none of the job's lifecycle state — that lives in
+// the store's JobState and nowhere else.
 type job struct {
 	id   string
 	spec Spec // resolved spec (daemon defaults applied), what the worker sees
@@ -160,8 +157,6 @@ type job struct {
 	deadline time.Duration
 	memLimit int64 // bytes, 0 = unlimited
 	restarts int
-
-	cancel chan struct{} // closed (by signalWorkers) to force-stop the job's workers
 }
 
 // orphan identifies a worker process a previous daemon incarnation
@@ -220,11 +215,14 @@ type Daemon struct {
 	queue *admitQueue
 
 	mu        sync.Mutex
-	jobs      map[string]*job // unfinished jobs this incarnation admitted or recovered
-	resume    []resumeInfo    // recovered running jobs, launched by Start
+	resume    []resumeInfo // recovered running jobs, launched by Start
 	draining  bool
 	nextID    int
 	cellEpoch map[string]int64 // campaign cell → highest accepted lease epoch
+
+	// stop is closed once, by a Drain whose context expired: every
+	// monitor then stops its worker, and no job spawns another.
+	stop chan struct{}
 
 	recovery RecoverySummary
 
@@ -255,8 +253,8 @@ func New(cfg Config) (*Daemon, error) {
 		journal:   supervisor.NewJournal(cfg.Journal),
 		breaker:   NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		store:     store,
-		jobs:      map[string]*job{},
 		cellEpoch: map[string]int64{},
+		stop:      make(chan struct{}),
 	}
 	d.queue = newAdmitQueue(
 		TenantPolicy{MaxQueued: cfg.TenantMaxQueued, MaxRunning: cfg.TenantMaxRunning},
@@ -434,7 +432,6 @@ func (d *Daemon) resolveJob(id string, spec Spec) *job {
 		deadline: d.cfg.Deadline,
 		memLimit: d.cfg.MemLimitMB << 20,
 		restarts: d.cfg.Restarts,
-		cancel:   make(chan struct{}),
 	}
 	if spec.DeadlineMs > 0 {
 		j.deadline = time.Duration(spec.DeadlineMs) * time.Millisecond
@@ -456,7 +453,6 @@ func (d *Daemon) resolveJob(id string, spec Spec) *job {
 	case spec.Restarts < 0:
 		j.restarts = 0
 	}
-	j.spec.HeartbeatMs = heartbeatMs
 	return j
 }
 
@@ -583,7 +579,6 @@ func (d *Daemon) SubmitKey(spec Spec, idemKey string) (Status, bool, error) {
 		return Status{}, false, fmt.Errorf("jobd: persisting accept: %w", err)
 	}
 	d.queue.push(j)
-	d.jobs[j.id] = j
 	if ck := spec.CellKey(); ck != "" && spec.Epoch > d.cellEpoch[ck] {
 		d.cellEpoch[ck] = spec.Epoch
 	}
@@ -637,10 +632,12 @@ func (d *Daemon) JobsFiltered(phase State, limit int) []Status {
 
 // Drain gracefully shuts the daemon down: new submissions are rejected
 // immediately (readyz goes unready), queued and running jobs are given
-// until ctx expires to finish, and past that workers receive SIGTERM —
-// which lands as a supervisor interrupt, i.e. a final checkpoint — and
-// then SIGKILL. Drain returns nil when everything finished cleanly and
-// ctx's error when it had to force the stop.
+// until ctx expires to finish, and past that Drain closes the stop
+// channel and waits: each worker's monitor sends SIGTERM — which lands
+// as a supervisor interrupt, i.e. a final checkpoint — and SIGKILL after
+// a grace, and the jobs still queued fail as interrupted without a
+// worker. Drain returns nil when everything finished cleanly and ctx's
+// error when it had to force the stop.
 func (d *Daemon) Drain(ctx context.Context) error {
 	d.mu.Lock()
 	if d.draining {
@@ -662,13 +659,8 @@ func (d *Daemon) Drain(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		forced = ctx.Err()
-		d.signalWorkers(syscall.SIGTERM)
-		select {
-		case <-done:
-		case <-time.After(5 * d.cfg.PollInterval):
-			d.signalWorkers(syscall.SIGKILL)
-			<-done
-		}
+		close(d.stop)
+		<-done
 	}
 	if forced == nil {
 		d.journal.Append(supervisor.Entry{Event: supervisor.EventDrain, Message: "complete"})
@@ -677,22 +669,6 @@ func (d *Daemon) Drain(ctx context.Context) error {
 	d.journal.Append(supervisor.Entry{Event: supervisor.EventDrain,
 		Message: "forced: " + forced.Error()})
 	return forced
-}
-
-// signalWorkers delivers sig to every live worker process and marks
-// the jobs cancelled so runJob stops respawning. It is the only closer
-// of a cancel channel, serialized by mu.
-func (d *Daemon) signalWorkers(sig syscall.Signal) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for id, j := range d.jobs {
-		if !isClosed(j.cancel) {
-			close(j.cancel)
-		}
-		if st, _ := d.store.status(id); st.PID > 0 {
-			syscall.Kill(st.PID, sig)
-		}
-	}
 }
 
 func (d *Daemon) count(path string) {
@@ -704,15 +680,9 @@ func (d *Daemon) count(path string) {
 // directory while the classification is retryable and the respawn
 // budget lasts. orph, when non-nil, is a recovered running job's
 // recorded worker: the first iteration adopts or buries it instead of
-// spawning a fresh one. Every return follows completeJob or failJob, and
-// a finished job needs no runtime handle: dropping it keeps d.jobs, and
-// drain's walk over it, to the jobs that can still have a worker.
+// spawning a fresh one. Every return follows completeJob or failJob;
+// once the stop channel is closed no further worker is spawned.
 func (d *Daemon) runJob(j *job, orph *orphan) {
-	defer func() {
-		d.mu.Lock()
-		delete(d.jobs, j.id)
-		d.mu.Unlock()
-	}()
 	jobDir := filepath.Join(d.cfg.Dir, "jobs", j.id)
 	if err := os.MkdirAll(jobDir, 0o755); err != nil {
 		d.failJob(j, "error", fmt.Sprintf("job dir: %v", err), false)
@@ -729,9 +699,11 @@ func (d *Daemon) runJob(j *job, orph *orphan) {
 		d.count("jobd.jobs.started")
 	}
 	for ; ; attempt++ {
-		if isClosed(j.cancel) {
+		select {
+		case <-d.stop:
 			d.failJob(j, "interrupted", "daemon stopping", false)
 			return
+		default:
 		}
 
 		var res *Result
@@ -756,7 +728,7 @@ func (d *Daemon) runJob(j *job, orph *orphan) {
 		d.commit(Record{Op: opExit, Job: j.id, Attempt: attempt, Kind: fail.Kind,
 			Message: fail.Message, Retryable: fail.Retryable, Cycle: fail.Cycle, RIP: fail.RIP})
 
-		if !fail.Retryable || attempt > j.restarts || isClosed(j.cancel) {
+		if !fail.Retryable || attempt > j.restarts {
 			// Interrupted jobs (daemon drain) say nothing about the
 			// workload's health — they never count toward the breaker.
 			d.failJob(j, fail.Kind, fail.Message,
@@ -767,7 +739,7 @@ func (d *Daemon) runJob(j *job, orph *orphan) {
 	}
 }
 
-// killReason is set by the monitor before it SIGKILLs a worker, so the
+// killReason is set by the monitor before it signals a worker, so the
 // exit can be classified by cause rather than by signal.
 type killReason struct {
 	kind    simerr.Kind
@@ -834,34 +806,49 @@ type workerProc struct {
 }
 
 // monitorWorker babysits a live worker until it is gone, watching for
-// its death, the job's cancel channel, and every PollInterval the
-// deadline, heartbeat and RSS budgets. It SIGKILLs at most once and
-// returns why; waitErr is always nil for an adopted orphan.
+// its death, the daemon's stop channel, and every PollInterval the
+// deadline, heartbeat and RSS budgets. It is the only code that signals
+// a worker, spawned or adopted, and it records one reason: a budget
+// breach is answered with SIGKILL; stop with SIGTERM — the worker's
+// cue to write a final checkpoint — and SIGKILL after a grace of five
+// polls. It returns the reason; waitErr is always nil for an adopted
+// orphan.
 func (d *Daemon) monitorWorker(j *job, jobDir string, p workerProc) (waitErr error, reason *killReason) {
-	kill := func(r killReason) {
-		if reason != nil {
+	signal := func(sig syscall.Signal) {
+		// An orphan is not our child: its pid may have been reused since
+		// the last poll, and an impostor is never signalled.
+		if p.wait == nil && !sameProcess(p.pid, p.pidStart) {
 			return
 		}
-		reason = &r
-		syscall.Kill(p.pid, syscall.SIGKILL)
+		syscall.Kill(p.pid, sig)
 	}
 	ticker := time.NewTicker(d.cfg.PollInterval)
 	defer ticker.Stop()
-	cancel := j.cancel
+	stop := d.stop
+	var grace <-chan time.Time
 monitor:
 	for {
 		select {
 		case waitErr = <-p.wait:
 			break monitor
-		case <-cancel:
-			kill(killReason{kind: "interrupted", message: "daemon stopping"})
-			cancel = nil // fired once; a nil channel never selects again
+		case <-stop:
+			stop = nil // fired once; a nil channel never selects again
+			if reason == nil {
+				reason = &killReason{kind: "interrupted", message: "daemon stopping"}
+				signal(syscall.SIGTERM)
+				grace = time.After(5 * d.cfg.PollInterval)
+			}
+		case <-grace:
+			signal(syscall.SIGKILL)
+			grace = nil
 		case <-ticker.C:
 			if p.wait == nil && !sameProcess(p.pid, p.pidStart) {
 				break monitor
 			}
-			if r := d.checkWorkerBudgets(j, jobDir, p.pid, p.start); r != nil {
-				kill(*r)
+			if reason == nil {
+				if reason = d.checkWorkerBudgets(j, jobDir, p.pid, p.start); reason != nil {
+					signal(syscall.SIGKILL)
+				}
 			}
 		}
 	}
@@ -999,15 +986,6 @@ func (d *Daemon) failJob(j *job, kind, message string, breaker bool) {
 		// interrupted): release the probe slot so the next submission
 		// probes again.
 		d.breaker.ProbeSettled(j.key)
-	}
-}
-
-func isClosed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
 	}
 }
 

@@ -60,10 +60,6 @@ type Spec struct {
 	// the seed, so nothing is lost but wall clock).
 	Fuzz *FuzzSpec `json:"fuzz,omitempty"`
 
-	// HeartbeatMs is stamped by the daemon before the spec is handed
-	// to the worker; jobs cannot set it.
-	HeartbeatMs int64 `json:"heartbeat_ms,omitempty"`
-
 	// Campaign dispatch metadata (internal/fleet). A campaign
 	// dispatcher stamps each submission with the campaign name, the
 	// grid cell the job computes, and the cell's current lease epoch —

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,6 +28,8 @@ import (
 // full daemon + HTTP server on that data directory (daemonMain in
 // restart_test.go), so the restart tests can SIGKILL a real daemon
 // process — not a goroutine — and prove recovery from the job store.
+// After the tests it fails the run if a daemon's process group still
+// has a member: no daemon or worker the tests started outlives them.
 func TestMain(m *testing.M) {
 	if dir := os.Getenv("PTLSERVE_WORKER_DIR"); dir != "" {
 		os.Exit(WorkerMain(dir, os.Stderr))
@@ -34,7 +37,33 @@ func TestMain(m *testing.M) {
 	if dir := os.Getenv("PTLSERVE_DAEMON_DIR"); dir != "" {
 		os.Exit(daemonMain(dir))
 	}
-	os.Exit(m.Run())
+	code := m.Run()
+	if left := liveGroups(2 * time.Second); len(left) > 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: daemon process groups %v still have members after the tests\n", left)
+		for _, pgid := range left {
+			syscall.Kill(-pgid, syscall.SIGKILL)
+		}
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// liveGroups polls the process groups startDaemonProc created until all
+// are empty or wait has passed, and returns those that are not.
+func liveGroups(wait time.Duration) []int {
+	daemonGroups.Lock()
+	defer daemonGroups.Unlock()
+	for deadline := time.Now().Add(wait); ; time.Sleep(10 * time.Millisecond) {
+		var left []int
+		for _, pgid := range daemonGroups.pgids {
+			if syscall.Kill(-pgid, 0) == nil {
+				left = append(left, pgid)
+			}
+		}
+		if len(left) == 0 || time.Now().After(deadline) {
+			return left
+		}
+	}
 }
 
 // selfWorker builds WorkerCommand funcs that re-exec the test binary in
@@ -378,6 +407,53 @@ func TestDrainGraceful(t *testing.T) {
 	}
 }
 
+// TestDrainForcedWritesFinalCheckpoint: a drain whose context has
+// expired stops a real worker with SIGTERM first, so the supervisor
+// inside it writes a final checkpoint and journals the interrupt before
+// the grace runs out — a forced drain loses no progress.
+func TestDrainForcedWritesFinalCheckpoint(t *testing.T) {
+	// The grace is five polls: 5 s leaves room for a race-built worker's
+	// final checkpoint.
+	d := newDaemon(t, nil, func(cfg *Config) { cfg.PollInterval = time.Second })
+	st, err := d.Submit(killSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotation := supervisor.Store{Dir: filepath.Join(st.Dir, ckptSubdir)}
+	for deadline := time.Now().Add(2 * time.Minute); len(rotation.Slots()) == 0; time.Sleep(2 * time.Millisecond) {
+		if cur, _ := d.Job(st.ID); isTerminal(cur) || time.Now().After(deadline) {
+			t.Fatalf("job %s is %s with no checkpoint — widen killSpec", st.ID, cur.State)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := d.Drain(ctx); err != context.Canceled {
+		t.Fatalf("forced drain returned %v, want %v", err, context.Canceled)
+	}
+	if fin, _ := d.Job(st.ID); fin.State != StateFailed || fin.Kind != "interrupted" {
+		t.Fatalf("drained job ended %s (%s: %s), want failed/interrupted", fin.State, fin.Kind, fin.Error)
+	}
+	f, err := os.Open(filepath.Join(st.Dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries, err := supervisor.ReadJournal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var final string
+	for _, e := range entries {
+		if e.Event == supervisor.EventInterrupt {
+			final = e.Slot
+		}
+	}
+	if slots := rotation.Slots(); final == "" || len(slots) == 0 || slots[0] != final {
+		t.Fatalf("worker journal's interrupt entry names slot %q; the rotation holds %v", final, slots)
+	}
+}
+
 func TestQueueFullBackpressure(t *testing.T) {
 	d := newDaemon(t, nil, func(cfg *Config) {
 		// Stub workers that never finish: the queue stays full.
@@ -465,6 +541,28 @@ func TestDeadlineTimeoutClassification(t *testing.T) {
 	fin2 := waitJob(t, d, st2.ID, time.Minute)
 	if fin2.Attempts != 2 || fin2.Kind != "timeout" {
 		t.Fatalf("want 2 timed-out attempts, got %d/%s", fin2.Attempts, fin2.Kind)
+	}
+}
+
+// TestStaleHeartbeatKillClassification: a worker that touches its
+// heartbeat file once and then wedges is killed as a timeout once the
+// file's mtime is older than HeartbeatTimeout, long before its deadline.
+func TestStaleHeartbeatKillClassification(t *testing.T) {
+	d := newDaemon(t, nil, func(cfg *Config) {
+		cfg.HeartbeatTimeout = 200 * time.Millisecond
+		cfg.WorkerCommand = func(jobDir string) *exec.Cmd {
+			return exec.Command("sh", "-c", `touch "$0/`+heartbeatFile+`"; exec sleep 60`, jobDir)
+		}
+	})
+	defer drainDaemon(t, d)
+
+	st, err := d.Submit(Spec{Restarts: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitJob(t, d, st.ID, 30*time.Second)
+	if fin.State != StateFailed || fin.Kind != "timeout" || !strings.Contains(fin.Error, "heartbeat stale") {
+		t.Fatalf("want failed/timeout with a stale heartbeat, got %s/%s: %s", fin.State, fin.Kind, fin.Error)
 	}
 }
 

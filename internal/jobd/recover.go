@@ -54,13 +54,10 @@ func (d *Daemon) recoverFromStore() error {
 			}
 		case StateQueued:
 			d.recovery.Requeued++
-			j := d.resolveJob(js.ID, js.Spec)
-			d.jobs[js.ID] = j
-			d.queue.push(j)
+			d.queue.push(d.resolveJob(js.ID, js.Spec))
 		case StateRunning:
 			d.recovery.Resumed++
 			j := d.resolveJob(js.ID, js.Spec)
-			d.jobs[js.ID] = j
 			// A fresh respawn budget per daemon incarnation: the daemon
 			// crashing is not evidence against the job, and a chaos soak
 			// of N daemon kills must not exhaust a per-job budget.

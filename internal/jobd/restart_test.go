@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -106,8 +107,17 @@ type daemonProc struct {
 	url string
 }
 
-// startDaemonProc launches the daemon subprocess on dir and waits for
-// its HTTP address.
+// daemonGroups lists the process groups startDaemonProc created; TestMain
+// checks that none outlives the tests.
+var daemonGroups struct {
+	sync.Mutex
+	pgids []int
+}
+
+// startDaemonProc launches the daemon subprocess on dir, in a process
+// group of its own that its workers inherit, and waits for its HTTP
+// address. The test's cleanup kills the whole group: the daemon and
+// every worker it spawned, orphaned or not.
 func startDaemonProc(t *testing.T, dir string) *daemonProc {
 	t.Helper()
 	exe, err := os.Executable()
@@ -127,11 +137,19 @@ func startDaemonProc(t *testing.T, dir string) *daemonProc {
 		"PTLSERVE_DAEMON_ADDRFILE="+addrFile)
 	cmd.Stdout = logf
 	cmd.Stderr = logf
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	pgid := cmd.Process.Pid
+	daemonGroups.Lock()
+	daemonGroups.pgids = append(daemonGroups.pgids, pgid)
+	daemonGroups.Unlock()
 	dp := &daemonProc{cmd: cmd}
-	t.Cleanup(func() { dp.kill() })
+	t.Cleanup(func() {
+		syscall.Kill(-pgid, syscall.SIGKILL)
+		dp.kill()
+	})
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -149,7 +167,8 @@ func startDaemonProc(t *testing.T, dir string) *daemonProc {
 	}
 }
 
-// kill SIGKILLs the daemon — the crash under test — and reaps it.
+// kill SIGKILLs the daemon alone — the crash under test — and reaps
+// it; its workers live on as orphans.
 func (dp *daemonProc) kill() {
 	if dp.cmd.Process != nil {
 		syscall.Kill(dp.cmd.Process.Pid, syscall.SIGKILL)

@@ -433,8 +433,8 @@ func (s *JobStore) compact() error {
 // atomicWrite lands data at path via temp + rename — the same
 // discipline as snapshot checkpoint writes, so a crash mid-write can
 // never present a torn file. durable adds the fsync before the rename:
-// the store must survive the host going down, while what a worker
-// writes (verdicts, heartbeats) only has to survive the worker dying.
+// the store must survive the host going down, while a worker's verdict
+// only has to survive the worker dying.
 func atomicWrite(path string, data []byte, durable bool) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".jobd-*")
 	if err != nil {

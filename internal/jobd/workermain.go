@@ -37,6 +37,9 @@ const (
 	ckptSubdir    = "ckpt"
 )
 
+// heartbeatEvery is the worker's heartbeat cadence.
+const heartbeatEvery = 250 * time.Millisecond
+
 // Worker exit codes (beyond the conventional 0).
 const (
 	// ExitFailure: a structured simulation failure; failureFile has the
@@ -74,37 +77,26 @@ func WorkerMain(dir string, errw io.Writer) int {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stopSignals()
 
-	// Heartbeat: rewrite <dir>/heartbeat until the run ends so the
-	// daemon can tell "slow" from "wedged". The file is created
-	// immediately — a worker that never heartbeats is already suspect.
-	// Each beat carries the worker's (pid, start time) identity and is
-	// written temp+rename (the same discipline as checkpoint writes),
-	// so a worker crashing mid-beat can never present a torn or
-	// zero-length heartbeat as a fresh one, and a recovering daemon can
-	// cross-check whose heartbeat it is looking at.
-	interval := time.Duration(spec.HeartbeatMs) * time.Millisecond
-	if interval <= 0 { // a spec.json the daemon did not write
-		interval = heartbeatMs * time.Millisecond
-	}
+	// Heartbeat: touch <dir>/heartbeat every heartbeatEvery until the
+	// run ends, so the daemon can tell "slow" from "wedged" by the
+	// file's mtime — the file has no content. It is created before the
+	// run starts: a worker that never heartbeats is already suspect.
 	hbPath := filepath.Join(dir, heartbeatFile)
-	hb := heartbeat{PID: os.Getpid()}
-	hb.PIDStart, _ = procStartTime(hb.PID)
-	if err := writeHeartbeat(hbPath, hb); err != nil {
+	if err := os.WriteFile(hbPath, nil, 0o644); err != nil {
 		fmt.Fprintln(errw, "worker: heartbeat:", err)
 		return ExitSetup
 	}
 	hbStop := make(chan struct{})
 	defer close(hbStop)
 	go func() {
-		t := time.NewTicker(interval)
+		t := time.NewTicker(heartbeatEvery)
 		defer t.Stop()
 		for {
 			select {
 			case <-hbStop:
 				return
-			case <-t.C:
-				hb.Seq++
-				writeHeartbeat(hbPath, hb)
+			case now := <-t.C:
+				os.Chtimes(hbPath, now, now)
 			}
 		}
 	}()
@@ -280,25 +272,4 @@ func writeJSON(path string, v any) error {
 
 func writeFailure(dir string, f Failure) {
 	writeJSON(filepath.Join(dir, failureFile), f)
-}
-
-// heartbeat is the content of the worker's heartbeat file: freshness
-// is still the file's mtime (the daemon stats it each poll), but the
-// body identifies which process incarnation is beating — a diagnostic
-// cross-check for the recovery adopt-vs-reap decision.
-type heartbeat struct {
-	PID      int    `json:"pid"`
-	PIDStart uint64 `json:"pid_start,omitempty"` // /proc start time (pid-reuse guard)
-	Seq      int64  `json:"seq"`
-}
-
-// writeHeartbeat lands one beat atomically: the rename refreshes the
-// mtime the daemon watches, and a crash mid-write leaves the previous
-// intact beat in place instead of a zero-length file.
-func writeHeartbeat(path string, hb heartbeat) error {
-	data, err := json.Marshal(&hb)
-	if err != nil {
-		return err
-	}
-	return atomicWrite(path, data, false)
 }

@@ -66,7 +66,6 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 			// exception now (its RIP is the fetch RIP).
 			if th.fetchFault != uops.FaultNone && th.fetchQ.len() == 0 {
 				fault := th.fetchFault
-				dbgf("fetch fault %v at rip %#x", fault, th.fetchRIP)
 				ctx.RIP = th.fetchRIP
 				ctx.CR2 = th.fetchRIP
 				vec, errInfo := vm.FaultVector(ctx, fault)
@@ -90,7 +89,6 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 			// Precise exception: restore to instruction start.
 			fe := th.robAt(faultAt)
 			fault := fe.fault
-			dbgf("commit fault %v at rip %#x uop %s ea %#x", fault, fe.uop.RIP, &fe.uop, fe.ea)
 			ctx.RIP = head.uop.RIP
 			if fe.uop.IsLoad() || fe.uop.IsStore() {
 				ctx.CR2 = fe.ea

@@ -156,7 +156,6 @@ func (c *Core) openBB(th *thread) bool {
 	}
 	pa, ready, fault := c.itlbTranslate(th, th.fetchRIP)
 	if fault != uops.FaultNone {
-		dbgf("openBB itlb fault %v at %#x (cycle %d, kernel=%v cr3=%#x)", fault, th.fetchRIP, c.now, th.ctx.Kernel, th.ctx.CR3)
 		th.fetchFault = fault
 		return false
 	}
@@ -174,13 +173,6 @@ func (c *Core) openBB(th *thread) bool {
 		var f uops.Fault
 		bb, f = decode.BuildBB(th.ctx.FetchCode, th.fetchRIP)
 		if f != uops.FaultNone {
-			w := mem.Walk(th.ctx.M.PM, th.ctx.CR3, th.fetchRIP, mem.Access{Exec: true, User: !th.ctx.Kernel})
-			var ptes [4]uint64
-			for i := 0; i < w.Depth; i++ {
-				ptes[i], _ = th.ctx.M.PM.Read(w.PTEAddrs[i], 8)
-			}
-			dbgf("openBB build fault %v at %#x (cycle %d kernel=%v cr3=%#x walk depth=%d fault=%v addrs=%x ptes=%x)",
-				f, th.fetchRIP, c.now, th.ctx.Kernel, th.ctx.CR3, w.Depth, w.Fault, w.PTEAddrs, ptes)
 			th.fetchFault = f
 			return false
 		}

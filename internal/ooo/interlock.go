@@ -71,6 +71,3 @@ func (il *Interlock) ReleaseAllFor(core, thread int, minSeq uint64) {
 		}
 	}
 }
-
-// Held reports whether line is locked (for tests).
-func (il *Interlock) Held(line uint64) bool { return il.find(line) >= 0 }

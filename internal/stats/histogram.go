@@ -63,9 +63,6 @@ func (h *Histogram) Bucket(i int) int64 {
 	return h.buckets[i]
 }
 
-// NumBuckets returns the number of regular buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // WriteTo renders the histogram as a text table with percentages.
 func (h *Histogram) WriteTo(w io.Writer) (int64, error) {
 	var n int64

@@ -103,7 +103,6 @@ func (c *Context) DeliverException(vector, errInfo, retRIP uint64) error {
 	}
 	base := c.trapBase()
 	mode, flags, rsp := c.Mode(), c.Flags(), c.Regs[uops.RegRSP]
-	dbgf("deliver vec=%d err=%#x rip=%#x mode=%d rsp=%#x base=%#x kernelRSP=%#x", vector, errInfo, retRIP, mode, rsp, base, c.KernelRSP)
 	c.Kernel = true // microcode pushes the frame at supervisor level
 	sp, f := c.pushFrame(base, retRIP, mode, flags, rsp)
 	if f != uops.FaultNone {

@@ -94,9 +94,6 @@ func (c *Context) IF() bool { return c.Flags()&x86.FlagIF != 0 }
 // GPR reads a general-purpose register.
 func (c *Context) GPR(r x86.Reg) uint64 { return c.Regs[uops.GPR(r)] }
 
-// SetGPR writes a general-purpose register.
-func (c *Context) SetGPR(r x86.Reg, v uint64) { c.Regs[uops.GPR(r)] = v }
-
 // Mode returns 0 in kernel mode and 3 in user mode (the privilege
 // value saved in bounce frames).
 func (c *Context) Mode() uint64 {

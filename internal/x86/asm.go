@@ -47,9 +47,6 @@ func NewAssembler(base uint64) *Assembler {
 // Base returns the base virtual address.
 func (a *Assembler) Base() uint64 { return a.base }
 
-// PC returns the virtual address of the next byte to be emitted.
-func (a *Assembler) PC() uint64 { return a.base + uint64(len(a.buf)) }
-
 // Len returns the number of bytes emitted so far.
 func (a *Assembler) Len() int { return len(a.buf) }
 
@@ -133,23 +130,11 @@ func (a *Assembler) Quad(v uint64) {
 	a.buf = binary.LittleEndian.AppendUint64(a.buf, v)
 }
 
-// Long appends a little-endian 32-bit data value.
-func (a *Assembler) Long(v uint32) {
-	a.buf = binary.LittleEndian.AppendUint32(a.buf, v)
-}
-
 // QuadLabel appends a 64-bit slot holding the absolute address of l,
 // resolved at Bytes time.
 func (a *Assembler) QuadLabel(l Label) {
 	a.fixups = append(a.fixups, fixup{kind: fixAbs64, off: len(a.buf), label: l})
 	a.Quad(0)
-}
-
-// Align pads with NOPs to an n-byte boundary.
-func (a *Assembler) Align(n int) {
-	for len(a.buf)%n != 0 {
-		a.buf = append(a.buf, 0x90)
-	}
 }
 
 // Operand construction helpers, exported for terse guest-building code.
@@ -204,9 +189,6 @@ func (a *Assembler) Addl(d, s Operand) { a.op2(OpAdd, 4, d, s) }
 // Sub emits a 64-bit sub.
 func (a *Assembler) Sub(d, s Operand) { a.op2(OpSub, 8, d, s) }
 
-// Subl emits a 32-bit sub.
-func (a *Assembler) Subl(d, s Operand) { a.op2(OpSub, 4, d, s) }
-
 // Adc emits a 64-bit add-with-carry.
 func (a *Assembler) Adc(d, s Operand) { a.op2(OpAdc, 8, d, s) }
 
@@ -216,14 +198,8 @@ func (a *Assembler) Sbb(d, s Operand) { a.op2(OpSbb, 8, d, s) }
 // And emits a 64-bit and.
 func (a *Assembler) And(d, s Operand) { a.op2(OpAnd, 8, d, s) }
 
-// Andl emits a 32-bit and.
-func (a *Assembler) Andl(d, s Operand) { a.op2(OpAnd, 4, d, s) }
-
 // Or emits a 64-bit or.
 func (a *Assembler) Or(d, s Operand) { a.op2(OpOr, 8, d, s) }
-
-// Orl emits a 32-bit or.
-func (a *Assembler) Orl(d, s Operand) { a.op2(OpOr, 4, d, s) }
 
 // Xor emits a 64-bit xor.
 func (a *Assembler) Xor(d, s Operand) { a.op2(OpXor, 8, d, s) }
@@ -234,17 +210,8 @@ func (a *Assembler) Xorl(d, s Operand) { a.op2(OpXor, 4, d, s) }
 // Cmp emits a 64-bit compare.
 func (a *Assembler) Cmp(d, s Operand) { a.op2(OpCmp, 8, d, s) }
 
-// Cmpl emits a 32-bit compare.
-func (a *Assembler) Cmpl(d, s Operand) { a.op2(OpCmp, 4, d, s) }
-
-// Cmpb emits an 8-bit compare.
-func (a *Assembler) Cmpb(d, s Operand) { a.op2(OpCmp, 1, d, s) }
-
 // Test emits a 64-bit test.
 func (a *Assembler) Test(d, s Operand) { a.op2(OpTest, 8, d, s) }
-
-// Testl emits a 32-bit test.
-func (a *Assembler) Testl(d, s Operand) { a.op2(OpTest, 4, d, s) }
 
 // Lea emits lea d, [m].
 func (a *Assembler) Lea(d Reg, m Operand) { a.op2(OpLea, 8, R(d), m) }
@@ -259,9 +226,6 @@ func (a *Assembler) Movsx(d Reg, s Operand, srcW int64) {
 	a.Emit(Inst{Op: OpMovsx, OpSize: 8, Dst: R(d), Src: s, Src2: I(srcW)})
 }
 
-// Movsxd emits movsxd d, r/m32.
-func (a *Assembler) Movsxd(d Reg, s Operand) { a.op2(OpMovsxd, 8, R(d), s) }
-
 // Push pushes a 64-bit register or memory operand.
 func (a *Assembler) Push(o Operand) { a.Emit(Inst{Op: OpPush, OpSize: 8, Dst: o}) }
 
@@ -273,9 +237,6 @@ func (a *Assembler) Shl(d, count Operand) { a.op2(OpShl, 8, d, count) }
 
 // Shr emits a 64-bit logical right shift.
 func (a *Assembler) Shr(d, count Operand) { a.op2(OpShr, 8, d, count) }
-
-// Shrl emits a 32-bit logical right shift.
-func (a *Assembler) Shrl(d, count Operand) { a.op2(OpShr, 4, d, count) }
 
 // Sar emits a 64-bit arithmetic right shift.
 func (a *Assembler) Sar(d, count Operand) { a.op2(OpSar, 8, d, count) }
@@ -339,12 +300,6 @@ func (a *Assembler) Call(l Label) {
 	a.branchRel(Inst{Op: OpCall, OpSize: 8, Dst: I(0)}, l)
 }
 
-// JmpReg emits an indirect jump through a register.
-func (a *Assembler) JmpReg(r Reg) { a.Emit(Inst{Op: OpJmp, OpSize: 8, Dst: R(r)}) }
-
-// CallReg emits an indirect call through a register.
-func (a *Assembler) CallReg(r Reg) { a.Emit(Inst{Op: OpCall, OpSize: 8, Dst: R(r)}) }
-
 // Ret emits a near return.
 func (a *Assembler) Ret() { a.Emit(Inst{Op: OpRet, OpSize: 8}) }
 
@@ -386,9 +341,6 @@ func (a *Assembler) LockDec(d Operand) {
 	a.Emit(Inst{Op: OpDec, OpSize: 8, Lock: true, Dst: d})
 }
 
-// Mfence emits a full memory fence.
-func (a *Assembler) Mfence() { a.Emit(Inst{Op: OpMfence, OpSize: 8}) }
-
 // Pause emits the spin-loop hint.
 func (a *Assembler) Pause() { a.Emit(Inst{Op: OpPause, OpSize: 8}) }
 
@@ -428,19 +380,6 @@ func (a *Assembler) Ptlcall() { a.Emit(Inst{Op: OpPtlcall, OpSize: 8}) }
 
 // Hypercall emits the paravirt hypercall (VMCALL encoding).
 func (a *Assembler) Hypercall() { a.Emit(Inst{Op: OpHypercall, OpSize: 8}) }
-
-// MovToCR emits mov crN, r (privileged).
-func (a *Assembler) MovToCR(cr int64, r Reg) {
-	a.Emit(Inst{Op: OpMovToCR, OpSize: 8, Dst: I(cr), Src: R(r)})
-}
-
-// MovFromCR emits mov r, crN (privileged).
-func (a *Assembler) MovFromCR(r Reg, cr int64) {
-	a.Emit(Inst{Op: OpMovFromCR, OpSize: 8, Dst: R(r), Src: I(cr)})
-}
-
-// Invlpg emits invlpg [m] (privileged).
-func (a *Assembler) Invlpg(m Operand) { a.Emit(Inst{Op: OpInvlpg, OpSize: 8, Dst: m}) }
 
 // LeaLabel loads the absolute address of l into d using a RIP-relative
 // lea, the position-independent idiom compilers emit.

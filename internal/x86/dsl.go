@@ -39,34 +39,12 @@ func (a *Assembler) While(cond func() Cond, body func()) {
 	a.Bind(exit)
 }
 
-// DoWhile emits a bottom-tested loop: body runs at least once, then
-// repeats while the condition returned by cond holds.
-func (a *Assembler) DoWhile(body func(), cond func() Cond) {
-	top := a.Mark()
-	body()
-	c := cond()
-	a.Jcc(c, top)
-}
-
 // Forever emits an infinite loop around body; body may escape via
 // labels of its own (e.g. a Ret or a bound exit label).
 func (a *Assembler) Forever(body func()) {
 	top := a.Mark()
 	body()
 	a.Jmp(top)
-}
-
-// CountedLoop emits a loop that runs body with counter register ctr
-// taking values 0..n-1. The counter is clobbered; body must preserve it.
-func (a *Assembler) CountedLoop(ctr Reg, n int64, body func()) {
-	a.Mov(R(ctr), I(0))
-	a.While(func() Cond {
-		a.Cmp(R(ctr), I(n))
-		return CondL
-	}, func() {
-		body()
-		a.Inc(R(ctr))
-	})
 }
 
 // Func binds a label at the current position and emits a function body;

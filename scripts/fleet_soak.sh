@@ -21,8 +21,6 @@ seed="${FLEET_SEED:-$$}"
 bin="$(mktemp -d)"
 data="${FLEET_DATA:-$bin/data}"
 nseeds=$((njobs / 2)) # repeats=2 → cells = 2 * seeds
-pids=""
-trap 'for p in $pids; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$bin"' EXIT
 . "$(dirname "$0")/lib.sh"
 
 p1=$base_port
@@ -34,20 +32,21 @@ pctl=$((base_port + 4))
 build ptlserve ptlsweep ptlmon chaosnet
 mkdir -p "$data"
 
-start_daemon() { # start_daemon <n> <port> -> pid on stdout
-	"$bin/ptlserve" -addr "127.0.0.1:$2" -data "$data/node$1" -workers 2 \
-		-queue 64 >>"$data/node$1.log" 2>&1 &
-	echo $!
+start_daemon() { # start_daemon <n> <port> : pid in $!
+	spawn "$bin/ptlserve" -addr "127.0.0.1:$2" -data "$data/node$1" -workers 2 \
+		-queue 64 >>"$data/node$1.log" 2>&1
 }
 
 echo "== starting 3 daemons + chaosnet proxy in front of node3"
-d1=$(start_daemon 1 "$p1")
-d2=$(start_daemon 2 "$p2")
-d3=$(start_daemon 3 "$p3")
-"$bin/chaosnet" -listen "127.0.0.1:$pproxy" -target "127.0.0.1:$p3" \
-	-control "127.0.0.1:$pctl" -seed "$seed" >>"$data/chaosnet.log" 2>&1 &
+start_daemon 1 "$p1"
+d1=$!
+start_daemon 2 "$p2"
+d2=$!
+start_daemon 3 "$p3"
+d3=$!
+spawn "$bin/chaosnet" -listen "127.0.0.1:$pproxy" -target "127.0.0.1:$p3" \
+	-control "127.0.0.1:$pctl" -seed "$seed" >>"$data/chaosnet.log" 2>&1
 cn=$!
-pids="$d1 $d2 $d3 $cn"
 wait_http "http://127.0.0.1:$p1/healthz"
 wait_http "http://127.0.0.1:$p2/healthz"
 wait_http "http://127.0.0.1:$pproxy/healthz"
@@ -64,12 +63,11 @@ awk -v n="$nseeds" -v s="$seed" 'BEGIN{
 }' >"$data/campaign.json"
 
 echo "== launching ptlsweep across the fleet"
-"$bin/ptlsweep" -campaign "$data/campaign.json" \
+spawn "$bin/ptlsweep" -campaign "$data/campaign.json" \
 	-nodes "http://127.0.0.1:$p1,http://127.0.0.1:$p2,http://127.0.0.1:$pproxy" \
 	-journal "$data/sweep.jsonl" -out "$data/report.json" \
-	-lease 5s -poll 300ms -inflight 8 >"$data/sweep.log" 2>&1 &
+	-lease 5s -poll 300ms -inflight 8 >"$data/sweep.log" 2>&1
 sweep=$!
-pids="$pids $sweep"
 
 sleep 6
 echo "== chaos: SIGKILL node2 (pid $d2), never to return"
@@ -152,5 +150,4 @@ kill -TERM "$d1" "$d3" 2>/dev/null || true
 wait "$d1" 2>/dev/null || true
 wait "$d3" 2>/dev/null || true
 kill -TERM "$cn" 2>/dev/null || true
-pids=""
 echo "fleet soak: OK ($njobs cells, 3 nodes, 1 SIGKILL + 1 partition, seed $seed)"

@@ -2,6 +2,21 @@
 # $bin (the temporary build directory) is set:
 #
 #	. "$(dirname "$0")/lib.sh"
+#
+# Sourcing it installs the scripts' exit handling: on any exit, an
+# interrupt included, every process group spawn started is killed and
+# $bin removed.
+
+groups=""
+trap 'for g in $groups; do kill -9 "-$g" 2>/dev/null || true; done; rm -rf "$bin"' EXIT
+trap 'exit 130' INT TERM
+
+spawn() { # spawn <cmd> [<arg>...] : run in the background in a process group of its own; pid in $!
+	# A daemon's workers inherit its group, so killing the group at exit
+	# also stops the workers of a daemon the script SIGKILLed mid-run.
+	setsid "$@" &
+	groups="$groups $!"
+}
 
 build() { # build <cmd>... : ./cmd/<cmd> -> $bin/<cmd>
 	echo "== building $(echo "$*" | tr ' ' /)"

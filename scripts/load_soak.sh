@@ -26,8 +26,6 @@ base_port="${LOAD_PORT:-17520}"
 total="${LOAD_JOBS:-800}"
 bin="$(mktemp -d)"
 data="${LOAD_DATA:-$bin/data}"
-pids=""
-trap 'for p in $pids; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$bin"' EXIT
 . "$(dirname "$0")/lib.sh"
 
 pserve=$base_port
@@ -44,39 +42,38 @@ build ptlserve ptlload ptlmon chaosnet
 mkdir -p "$data"
 
 echo "== starting ptlserve with per-tenant quotas + chaosnet (bandwidth-capped) in front"
-"$bin/ptlserve" -addr "127.0.0.1:$pserve" -data "$data/serve" -workers 4 \
+spawn "$bin/ptlserve" -addr "127.0.0.1:$pserve" -data "$data/serve" -workers 4 \
 	-queue 256 \
 	-tenant "greedy=48:0:1" \
 	-tenant "latency=64:0:8" \
 	-tenant "chaos=64:0:2" \
 	-tenant "deadline=64:0:2" \
-	>>"$data/serve.log" 2>&1 &
+	>>"$data/serve.log" 2>&1
 d=$!
-"$bin/chaosnet" -listen "127.0.0.1:$pproxy" -target "127.0.0.1:$pserve" \
-	-control "127.0.0.1:$pctl" -seed 7 >>"$data/chaosnet.log" 2>&1 &
+spawn "$bin/chaosnet" -listen "127.0.0.1:$pproxy" -target "127.0.0.1:$pserve" \
+	-control "127.0.0.1:$pctl" -seed 7 >>"$data/chaosnet.log" 2>&1
 cn=$!
-pids="$d $cn"
 wait_http "http://127.0.0.1:$pserve/healthz"
 wait_http "http://127.0.0.1:$pctl/faults"
 curl -sf -X POST -d '{"bandwidth_bps":65536}' "http://127.0.0.1:$pctl/faults" >/dev/null
 echo "   chaos tenant link capped at 64 KiB/s"
 
 echo "== storm: $total submissions (greedy $n_greedy, latency $n_latency, chaos $n_chaos, deadline $n_deadline)"
-load() { # load <tenant> <n> <extra flags...>
+load() { # load <tenant> <n> <extra flags...> : start the tenant's ptlload; pid in $!
 	tenant=$1
 	n=$2
 	shift 2
-	"$bin/ptlload" -addr "http://127.0.0.1:$pserve" -tenant "$tenant" -n "$n" \
+	spawn "$bin/ptlload" -addr "http://127.0.0.1:$pserve" -tenant "$tenant" -n "$n" \
 		-scale bench -nfiles 1 -filesize 1024 \
 		-out "$data/$tenant.json" "$@" >>"$data/$tenant.log" 2>&1
 }
-load greedy "$n_greedy" -concurrency 32 -priority 1 &
+load greedy "$n_greedy" -concurrency 32 -priority 1
 lg=$!
-load latency "$n_latency" -concurrency 16 -priority 9 &
+load latency "$n_latency" -concurrency 16 -priority 9
 ll=$!
-"$bin/ptlload" -addr "http://127.0.0.1:$pproxy" -tenant chaos -n "$n_chaos" \
+spawn "$bin/ptlload" -addr "http://127.0.0.1:$pproxy" -tenant chaos -n "$n_chaos" \
 	-scale bench -nfiles 1 -filesize 1024 \
-	-concurrency 8 -timeout 30s -out "$data/chaos.json" >>"$data/chaos.log" 2>&1 &
+	-concurrency 8 -timeout 30s -out "$data/chaos.json" >>"$data/chaos.log" 2>&1
 lc=$!
 # The deadline tenant is the late arrival: hold it until the daemon has
 # completed a few jobs (so the drain-rate ring is warm — a cold ring
@@ -95,9 +92,8 @@ done
 # 1s is comfortably above one bench job's run time (so admitted jobs
 # never blow the attempt deadline) but far below the storm's estimated
 # queue wait now that the latency ring is warm — shedding must engage.
-load deadline "$n_deadline" -concurrency 16 -deadline 1s &
+load deadline "$n_deadline" -concurrency 16 -deadline 1s
 ld=$!
-pids="$pids $lg $ll $lc $ld"
 fail=0
 for p in $lg $ll $lc $ld; do
 	wait "$p" || fail=1
@@ -232,5 +228,4 @@ echo "== draining the daemon"
 kill -TERM "$d" 2>/dev/null || true
 wait "$d" 2>/dev/null || true
 kill -TERM "$cn" 2>/dev/null || true
-pids=""
 echo "load soak: OK ($total submissions, 4 tenants, $accepted accepted, $quota quota 429s, $shed shed)"

@@ -11,8 +11,6 @@ set -eu
 
 port="${SERVE_PORT:-17489}"
 bin="$(mktemp -d)"
-daemon_pid=""
-trap '[ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
 . "$(dirname "$0")/lib.sh"
 
 build ptlsim ptlstats ptlserve ptlmon
@@ -54,7 +52,7 @@ grep -q 'commit' "$bin/trace.txt" || {
 echo "   chrome/konata/text exporters OK"
 
 echo "== booting ptlserve"
-"$bin/ptlserve" -addr "127.0.0.1:$port" -data "$bin/data" -workers 1 &
+spawn "$bin/ptlserve" -addr "127.0.0.1:$port" -data "$bin/data" -workers 1
 daemon_pid=$!
 wait_http "http://127.0.0.1:$port/healthz" "daemon never came up"
 
@@ -95,5 +93,4 @@ sed 's/^/   /' "$bin/mon.txt"
 
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
-daemon_pid=""
 echo "obs smoke: OK"

@@ -22,8 +22,6 @@ seed="${SOAK_SEED:-$$}"
 bin="$(mktemp -d)"
 data="${SERVE_DATA:-$bin/data}"
 base="http://127.0.0.1:$port"
-daemon_pid=""
-trap '[ -n "$daemon_pid" ] && kill -9 "$daemon_pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
 . "$(dirname "$0")/lib.sh"
 
 # A workload long enough that kills land mid-run, with a tight
@@ -35,8 +33,8 @@ rand_ms() { # rand_ms <round> -> 300..2300, deterministic per seed+round
 }
 
 start_daemon() {
-	"$bin/ptlserve" -addr "127.0.0.1:$port" -data "$data" -workers 2 \
-		-compact-every 8 >>"$data/daemon.log" 2>&1 &
+	spawn "$bin/ptlserve" -addr "127.0.0.1:$port" -data "$data" -workers 2 \
+		-compact-every 8 >>"$data/daemon.log" 2>&1
 	daemon_pid=$!
 	wait_http "$base/healthz" "daemon never came up (see $data/daemon.log)"
 }
@@ -44,7 +42,6 @@ start_daemon() {
 crash_daemon() { # SIGKILL the daemon and restart it on the same data directory
 	kill -9 "$daemon_pid"
 	wait "$daemon_pid" 2>/dev/null || true
-	daemon_pid=""
 	start_daemon
 }
 
@@ -167,7 +164,6 @@ echo "== jobs, from the recovered job store (ptlmon -inspect)"
 echo "== draining final daemon (SIGTERM)"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
-daemon_pid=""
 
 echo "== service events (ptlmon -journal; survives torn writes from $((round - 1)) crashes)"
 "$bin/ptlmon" -journal "$data/service.jsonl" | sed 's/^/   /'

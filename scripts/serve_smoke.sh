@@ -13,13 +13,11 @@ set -eu
 port="${SERVE_PORT:-17483}"
 bin="$(mktemp -d)"
 data="${SERVE_DATA:-$bin/data}"
-daemon_pid=""
-trap '[ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
 . "$(dirname "$0")/lib.sh"
 
 build ptlserve ptlmon
 
-"$bin/ptlserve" -addr "127.0.0.1:$port" -data "$data" -workers 1 &
+spawn "$bin/ptlserve" -addr "127.0.0.1:$port" -data "$data" -workers 1
 daemon_pid=$!
 wait_http "http://127.0.0.1:$port/healthz" "daemon never came up"
 
@@ -56,7 +54,6 @@ echo "== inspecting job checkpoints"
 echo "== draining (SIGTERM)"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
-daemon_pid=""
 
 echo "== jobs, from the job store (ptlmon -inspect)"
 "$bin/ptlmon" -inspect "$data" | sed 's/^/   /'
