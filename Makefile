@@ -38,9 +38,9 @@ restart-soak:
 	./scripts/restart_soak.sh
 
 # fuzz-smoke runs each fuzz target briefly (the -fuzz flag accepts one
-# target per invocation) — the decoder, the three readers of bytes a
-# crash can tear (the job store's replay, the journal reader and the
-# checkpoint file reader), the differential check of the host-side
+# target per invocation) — the decoder, the job spec a client submits,
+# the three readers of bytes a crash can tear (the job store's replay,
+# the journal reader and the checkpoint file reader), the differential check of the host-side
 # translation cache against bare page walks, and the cache hierarchy's
 # miss buffers against the list they replaced. A regression smoke over the seed corpus plus a short
 # mutation budget, not a campaign. Longer runs:
@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test ./internal/decode/ -run '^$$' -fuzz '^FuzzBuildBB$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/decode/ -run '^$$' -fuzz '^FuzzBuildBBPaged$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/jobd/ -run '^$$' -fuzz '^FuzzStoreReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/jobd/ -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/supervisor/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz '^FuzzReadFile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm/ -run '^$$' -fuzz '^FuzzTranslateCoherent$$' -fuzztime $(FUZZTIME)

@@ -37,12 +37,6 @@ import (
 	"ptlsim/internal/supervisor"
 )
 
-// defaultMaxCycles is the default cycle budget for plain runs: large
-// enough for every shipped workload scale, small enough that a hung
-// simulation terminates with a structured error instead of spinning
-// forever. Override with -maxcycles (0 = unlimited).
-const defaultMaxCycles = 2_000_000_000
-
 func main() {
 	var (
 		experiment = flag.String("experiment", "", "run a paper experiment: table1 | figure2 | figure3 | throughput")
@@ -53,7 +47,7 @@ func main() {
 		filesize   = flag.Int("filesize", 0, "override corpus file size (multiple of 512)")
 		change     = flag.Float64("change", -1, "override corpus change fraction")
 		timer      = flag.Uint64("timer", 0, "guest timer period in cycles (0 = default)")
-		maxCycles  = flag.Uint64("maxcycles", defaultMaxCycles, "abort after this many cycles (0 = unlimited)")
+		maxCycles  = flag.Uint64("maxcycles", 0, "abort after this many cycles (0 = unlimited; unset = the scale's budget)")
 		watchdog   = flag.Uint64("watchdog", 10_000_000, "fail if a core commits nothing for this many cycles (0 = off)")
 		selfcheckF = flag.Bool("selfcheck", false, "attach the lockstep commit oracle: shadow every commit on a sequential reference core")
 		scInterval = flag.Int64("selfcheck-interval", 1, "compare architectural registers every N committed instructions")
@@ -115,18 +109,13 @@ func main() {
 	if *timer > 0 {
 		cfg.TimerPeriod = *timer
 	}
-	// -maxcycles always wins when given explicitly (including 0 for
-	// unlimited); otherwise the default budget applies unless the
-	// experiment scale configured its own.
 	maxSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "maxcycles" {
 			maxSet = true
 		}
 	})
-	if maxSet || cfg.MaxCycles == 0 {
-		cfg.MaxCycles = *maxCycles
-	}
+	cfg.MaxCycles = cycleBudget(cfg.MaxCycles, *maxCycles, maxSet)
 
 	if *experiment != "" {
 		runExperiment(w, *experiment, cfg)
@@ -235,7 +224,7 @@ func main() {
 			r := snapshot.NewRunner(m, *ckptCycles)
 			if *ckptOut != "" {
 				prefix := *ckptOut
-				r.OnCheckpoint = func(k int, img *snapshot.Image, _ []byte) error {
+				r.OnCheckpoint = func(k int, img *snapshot.Image) error {
 					return img.WriteFile(fmt.Sprintf("%s.%d.ckpt", prefix, k))
 				}
 			}
@@ -282,6 +271,16 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// cycleBudget is a run's cycle budget: -maxcycles when given
+// explicitly (0 = unlimited), otherwise the scale's own — a scale's 0
+// (paper) is unlimited, not unset.
+func cycleBudget(scale, flagValue uint64, flagSet bool) uint64 {
+	if flagSet {
+		return flagValue
+	}
+	return scale
 }
 
 // runFuzz drives a conformance fuzz campaign: generate sequences, run

@@ -84,3 +84,49 @@ func FuzzStoreReplay(f *testing.F) {
 		}
 	})
 }
+
+// FuzzJobSpec feeds arbitrary bytes through the job spec's decode (the
+// json.Unmarshal readJSON[Spec] does) and Validate. A spec Validate
+// accepts must derive its breaker key and both configs without
+// panicking, and survive a marshal → unmarshal round trip unchanged,
+// breaker key included: the spec the daemon writes is the spec the
+// worker reads.
+func FuzzJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		// scripts/restart_soak.sh
+		`{"scale":"bench","nfiles":2,"filesize":4096,"seed":9,"change":0.5,"timer":4000000000,"maxcycles":-1,"checkpoint_cycles":25000}`,
+		// scripts/serve_smoke.sh
+		`{"scale":"bench","nfiles":1,"filesize":1024,"seed":5,"change":0.4,"timer":4000000000,"maxcycles":-1,"checkpoint_cycles":50000}`,
+		// scripts/fleet_soak.sh: the campaign base with one of its seeds
+		`{"scale":"bench","nfiles":1,"filesize":1024,"change":0.4,"timer":4000000000,"maxcycles":-1,"checkpoint_cycles":50000,"seed":3001}`,
+		// benchmark/serve.go
+		`{"scale":"small","mode":"native","seed":3001}`,
+		`{"inject":"robcorrupt@300;memdelay@500:cycles=9","fuzz":{"seqs":10,"seed":7},"tenant":"a","priority":-3}`,
+		`{"campaign":"c","cell":"x/1","epoch":4,"client_deadline_ms":50,"mem_limit_mb":-1,"restarts":-1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec := new(Spec)
+		if json.Unmarshal(data, spec) != nil || spec.Validate() != nil {
+			return
+		}
+		key := spec.ConfigKey()
+		spec.machineConfig(spec.experimentConfig().SnapshotCycles)
+
+		out, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("an accepted spec does not marshal: %v", err)
+		}
+		back := new(Spec)
+		if err := json.Unmarshal(out, back); err != nil {
+			t.Fatalf("a marshalled spec does not unmarshal: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(spec, back) {
+			t.Fatalf("round trip changed the spec:\nin  %+v\nout %+v", spec, back)
+		}
+		if back.ConfigKey() != key {
+			t.Fatalf("round trip changed the breaker key: %#x → %#x", key, back.ConfigKey())
+		}
+	})
+}

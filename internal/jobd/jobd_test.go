@@ -236,6 +236,34 @@ func TestJobCompletes(t *testing.T) {
 	}
 }
 
+// TestFirstWindowJobWritesNoSlot: a job that ends inside its first
+// checkpoint window — the size of every serve_closed job — keeps its
+// genesis in memory, so it leaves ckpt/ empty and journals no
+// checkpoint.
+func TestFirstWindowJobWritesNoSlot(t *testing.T) {
+	ckptDir := filepath.Join(t.TempDir(), ckptSubdir)
+	var journal bytes.Buffer
+	res, err := runJob(context.Background(), &Spec{Scale: "small", Mode: "native"}, ckptDir, &journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Console, "rsync ok") || res.FinalSlot != "" {
+		t.Fatalf("result: final slot %q, console %q", res.FinalSlot, res.Console)
+	}
+	if slots, _ := os.ReadDir(ckptDir); len(slots) != 0 {
+		t.Fatalf("ckpt/ holds %d file(s), want none", len(slots))
+	}
+	entries, err := supervisor.ReadJournal(&journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Event == supervisor.EventCheckpoint {
+			t.Fatalf("journaled a checkpoint: %+v", e)
+		}
+	}
+}
+
 // TestWorkerKilledMidJobResumesBitIdentical is the acceptance test for
 // the isolation tentpole: SIGKILL a worker mid-run (from outside — the
 // daemon has no idea it is coming), and the job must still finish, by
@@ -404,6 +432,94 @@ func TestDrainGraceful(t *testing.T) {
 	}
 	if !strings.Contains(out, "service:") {
 		t.Fatalf("report missing service summary:\n%s", out)
+	}
+}
+
+// TestKilledJobWithEverySlotCorruptRebootsFromSpec: a worker killed
+// after corrupting every slot of its rotation leaves nothing to resume
+// from. The respawned worker boots the spec again — the spec is the
+// genesis — and finishes with the unkilled run's cycles, instructions
+// and console.
+func TestKilledJobWithEverySlotCorruptRebootsFromSpec(t *testing.T) {
+	spec := killSpec()
+	clean := func() *Result {
+		d := newDaemon(t, nil, nil)
+		st, err := d.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin := waitJob(t, d, st.ID, 3*time.Minute)
+		if fin.State != StateDone {
+			t.Fatalf("clean run failed: %s %s", fin.Kind, fin.Error)
+		}
+		return fin.Result
+	}()
+
+	d := newDaemon(t, nil, nil)
+	victim, err := d.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stop the worker once it has a slot, so it writes no new one while
+	// every slot on disk is corrupted; then kill it.
+	var corrupted []string
+	for deadline := time.Now().Add(2 * time.Minute); corrupted == nil; time.Sleep(2 * time.Millisecond) {
+		st, _ := d.Job(victim.ID)
+		if isTerminal(st) || time.Now().After(deadline) {
+			t.Fatalf("never caught the victim worker alive with a checkpoint slot (state %s)", st.State)
+		}
+		slots, _ := filepath.Glob(filepath.Join(st.Dir, ckptSubdir, "*.ckpt"))
+		if st.PID <= 0 || len(slots) == 0 || syscall.Kill(st.PID, syscall.SIGSTOP) != nil {
+			continue
+		}
+		slots, _ = filepath.Glob(filepath.Join(st.Dir, ckptSubdir, "*.ckpt"))
+		for _, slot := range slots {
+			data, err := os.ReadFile(slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-10] ^= 0xff
+			if err := os.WriteFile(slot, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := syscall.Kill(st.PID, syscall.SIGKILL); err != nil {
+			t.Fatal(err)
+		}
+		corrupted = slots
+	}
+
+	fin := waitJob(t, d, victim.ID, 3*time.Minute)
+	if fin.State != StateDone {
+		t.Fatalf("killed job did not recover: %s %s: %s", fin.State, fin.Kind, fin.Error)
+	}
+	if fin.Attempts < 2 {
+		t.Fatalf("killed job finished in %d attempt(s)", fin.Attempts)
+	}
+	if fin.Result.Console != clean.Console || fin.Result.Cycles != clean.Cycles || fin.Result.Insns != clean.Insns {
+		t.Fatalf("re-booted run differs from the clean run: cycles %d vs %d, insns %d vs %d, console equal %v",
+			fin.Result.Cycles, clean.Cycles, fin.Result.Insns, clean.Insns, fin.Result.Console == clean.Console)
+	}
+	// The respawned worker started where the first one did: at boot, not
+	// at any of the corrupted slots.
+	f, err := os.Open(filepath.Join(fin.Dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries, err := supervisor.ReadJournal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts []uint64
+	for _, e := range entries {
+		if e.Event == supervisor.EventRunStart && e.Attempt == 1 {
+			starts = append(starts, e.Cycle)
+		}
+	}
+	if len(starts) < 2 || starts[len(starts)-1] != starts[0] {
+		t.Fatalf("worker runs started at cycles %v; the respawn should start at boot, cycle %v (corrupted %v)",
+			starts, starts[:1], corrupted)
 	}
 }
 

@@ -13,9 +13,10 @@ import (
 // uniquely identifies a process incarnation: pids are recycled, start
 // times within one boot are not, so a recovered daemon can tell "our
 // orphan worker, still alive" from "an unrelated process that reused
-// the pid". On hosts without procfs the error makes recovery treat the
-// recorded worker as unverifiable (and therefore dead); it never
-// guesses.
+// the pid". A zombie (state Z, or X while it is being reaped) has
+// exited: it is reported as an error, not as a live incarnation. On
+// hosts without procfs the error makes recovery treat the recorded
+// worker as unverifiable (and therefore dead); it never guesses.
 func procStartTime(pid int) (uint64, error) {
 	data, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
 	if err != nil {
@@ -32,6 +33,9 @@ func procStartTime(pid int) (uint64, error) {
 	const startTimeField = 19 // field 22 overall; fields[0] is field 3
 	if len(fields) <= startTimeField {
 		return 0, fmt.Errorf("jobd: short /proc/%d/stat", pid)
+	}
+	if state := fields[0]; state == "Z" || state == "X" {
+		return 0, fmt.Errorf("jobd: process %d has exited (state %s)", pid, state)
 	}
 	return strconv.ParseUint(fields[startTimeField], 10, 64)
 }

@@ -51,13 +51,14 @@ const (
 )
 
 // WorkerMain is the hidden worker mode of the serving binary: execute
-// the job described by <dir>/spec.json in this process, under the PR 2
+// the job described by <dir>/spec.json in this process, under the run
 // supervisor, with checkpoints rotated into <dir>/ckpt. If the
-// rotation already holds slots — this is a respawn after the previous
-// worker was killed — the newest intact slot is restored first, so the
-// re-run resumes instead of restarting and (by the snapshot Runner's
-// determinism-by-construction property) finishes with guest output
-// bit-identical to an unkilled run.
+// rotation already holds an intact slot — this is a respawn after the
+// previous worker was killed — the newest one is restored first, so
+// the re-run resumes instead of restarting; with none it boots the
+// spec again. Either way (by the snapshot Runner's determinism-by-
+// construction property) it finishes with guest output bit-identical
+// to an unkilled run.
 //
 // The returned value is the process exit code; errw receives human
 // diagnostics (the daemon redirects it to <dir>/worker.log).
@@ -159,14 +160,12 @@ func runJob(ctx context.Context, spec *Spec, ckptDir string, journal io.Writer) 
 	}
 
 	// supervisor.New opens the rotation; a view of the directory is
-	// enough to look for slots a killed attempt left behind.
+	// enough to look for slots a killed attempt left behind. With none
+	// usable the job starts over from its spec: the spec is the genesis
+	// the supervisor holds in memory, so the re-run is the same run.
 	rotation := supervisor.Store{Dir: ckptDir}
 	var m *core.Machine
-	if len(rotation.Slots()) > 0 {
-		img, slot, err := rotation.LoadLatest(nil)
-		if err != nil {
-			return nil, err
-		}
+	if img, slot, err := rotation.LoadLatest(nil); err == nil {
 		if m, err = snapshot.Restore(img, mcfg); err != nil {
 			return nil, fmt.Errorf("jobd: resuming %s: %w", slot, err)
 		}

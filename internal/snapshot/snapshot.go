@@ -202,17 +202,18 @@ func Decode(data []byte) (*Image, error) {
 }
 
 // Runner drives a machine to completion while checkpointing every
-// Interval cycles. At each boundary it captures an Image, round-trips
-// it through encoded bytes, restores a fresh machine from it, and
-// swaps that machine in — so the continued run is, by construction,
-// exactly the run a later restore-from-image would produce.
+// Interval cycles. At each boundary it captures an Image, restores a
+// fresh machine from it, and swaps that machine in — so the continued
+// run is, by construction, exactly the run a later restore-from-image
+// would produce (restoring an image and its Encode/Decode round trip
+// build the same machine; bytes exist only where a caller writes them).
 type Runner struct {
 	M        *core.Machine
 	Interval uint64
 
 	// OnCheckpoint, when set, receives each checkpoint as it is taken
-	// (k counts from 1) — e.g. to persist the encoded bytes to disk.
-	OnCheckpoint func(k int, img *Image, encoded []byte) error
+	// (k counts from 1) — e.g. to persist it to disk.
+	OnCheckpoint func(k int, img *Image) error
 
 	// Checkpoints is the number of boundaries crossed so far.
 	Checkpoints int
@@ -260,27 +261,19 @@ func (r *Runner) RunCtx(ctx context.Context, maxCycles uint64) error {
 	return nil
 }
 
-// checkpoint performs one capture → encode → decode → restore → swap
-// round trip, carrying over the external attachments the image
-// deliberately excludes.
+// checkpoint performs one capture → restore → swap round trip,
+// carrying over the external attachments the image deliberately
+// excludes.
 func (r *Runner) checkpoint() error {
 	img := Capture(r.M)
-	data, err := img.Encode()
-	if err != nil {
-		return err
-	}
-	decoded, err := Decode(data)
-	if err != nil {
-		return err
-	}
-	fresh, err := Swap(r.M, decoded)
+	fresh, err := Swap(r.M, img)
 	if err != nil {
 		return err
 	}
 	r.M = fresh
 	r.Checkpoints++
 	if r.OnCheckpoint != nil {
-		return r.OnCheckpoint(r.Checkpoints, img, data)
+		return r.OnCheckpoint(r.Checkpoints, img)
 	}
 	return nil
 }

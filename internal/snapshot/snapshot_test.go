@@ -83,9 +83,10 @@ func TestRoundTripDeterminism(t *testing.T) {
 	m1.SwitchMode(core.ModeSim)
 	r1 := NewRunner(m1, interval)
 	var saved [][]byte
-	r1.OnCheckpoint = func(_ int, _ *Image, data []byte) error {
-		saved = append(saved, append([]byte(nil), data...))
-		return nil
+	r1.OnCheckpoint = func(_ int, img *Image) error {
+		data, err := img.Encode()
+		saved = append(saved, data)
+		return err
 	}
 	if err := r1.Run(0); err != nil {
 		t.Fatal(err)
@@ -141,6 +142,103 @@ func TestRoundTripDeterminism(t *testing.T) {
 			}
 		}
 		t.Fatal("statistics diverged")
+	}
+}
+
+// TestEncodedRestoreEqualsDirect pins what lets a checkpoint boundary
+// skip the gob round trip: restoring a captured image directly and
+// restoring Decode(Encode(image)) build the same machine — at boot,
+// mid-run on either engine, and after shutdown — and the two machines
+// stay equal for 50k further cycles.
+func TestEncodedRestoreEqualsDirect(t *testing.T) {
+	points := []struct {
+		name string
+		run  func(m *core.Machine) error
+	}{
+		{"boot", func(*core.Machine) error { return nil }},
+		{"native", func(m *core.Machine) error { return m.RunUntilInsns(20_000, 0) }},
+		{"sim", func(m *core.Machine) error {
+			m.SwitchMode(core.ModeSim)
+			return m.RunUntilInsns(40_000, 0)
+		}},
+		{"shutdown", func(m *core.Machine) error { return m.Run(0) }},
+	}
+	for _, p := range points {
+		t.Run(p.name, func(t *testing.T) {
+			m := buildBench(t)
+			if err := p.run(m); err != nil {
+				t.Fatal(err)
+			}
+			img := Capture(m)
+			direct, err := Restore(img, m.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := img.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaGob, err := Restore(decoded, m.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := Capture(direct), Capture(viaGob)
+			nilEmpty(reflect.ValueOf(a))
+			nilEmpty(reflect.ValueOf(b))
+			if av, bv := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem(); !reflect.DeepEqual(a, b) {
+				for i := 0; i < av.NumField(); i++ {
+					if !reflect.DeepEqual(av.Field(i).Interface(), bv.Field(i).Interface()) {
+						t.Errorf("Image.%s differs between the direct and the gob restore", av.Type().Field(i).Name)
+					}
+				}
+				t.FailNow()
+			}
+
+			for _, r := range []*core.Machine{direct, viaGob} {
+				if err := r.RunUntilCycle(r.Cycle + 50_000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if direct.Cycle != viaGob.Cycle || direct.Insns() != viaGob.Insns() {
+				t.Fatalf("after 50k cycles: direct cycle %d insns %d, gob cycle %d insns %d",
+					direct.Cycle, direct.Insns(), viaGob.Cycle, viaGob.Insns())
+			}
+			if direct.Dom.Console() != viaGob.Dom.Console() {
+				t.Fatalf("console: direct %q, gob %q", direct.Dom.Console(), viaGob.Dom.Console())
+			}
+			if !reflect.DeepEqual(direct.Tree.Snapshot(direct.Cycle).Values,
+				viaGob.Tree.Snapshot(viaGob.Cycle).Values) {
+				t.Fatal("statistics differ after 50k cycles")
+			}
+		})
+	}
+}
+
+// nilEmpty sets every empty slice and map reachable from v to nil, so
+// that DeepEqual treats nil and empty alike (gob does not tell them
+// apart).
+func nilEmpty(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			nilEmpty(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			nilEmpty(v.Field(i))
+		}
+	case reflect.Slice, reflect.Map:
+		if v.Len() == 0 {
+			v.SetZero()
+		} else if v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Struct {
+			for i := 0; i < v.Len(); i++ {
+				nilEmpty(v.Index(i))
+			}
+		}
 	}
 }
 

@@ -9,7 +9,8 @@
 // format). When an attempt dies with a retryable SimError — a commit
 // livelock or a recovered pipeline panic — the supervisor backs off
 // exponentially, restores the newest intact rotation slot (falling
-// back across corrupted ones), and retries within a bounded budget.
+// back across corrupted ones to the run's in-memory starting image),
+// and retries within a bounded budget.
 // When the out-of-order core keeps faulting inside the same window,
 // the supervisor degrades gracefully: it re-executes just that window
 // on the sequential reference core to make forward progress, records
@@ -119,7 +120,7 @@ type Result struct {
 	// DegradedWindows counts windows re-executed on the sequential
 	// reference core.
 	DegradedWindows int
-	// FinalSlot is the last checkpoint slot written.
+	// FinalSlot is the last checkpoint slot written ("" if none was).
 	FinalSlot string
 }
 
@@ -144,6 +145,12 @@ type Supervisor struct {
 	// checkpoint boundary resets the streak (forward progress).
 	lastRestore  uint64
 	failsAtPoint int
+
+	// genesis is the image Run started from, this run's oldest restore
+	// point; slots numbered above genesisSeq are newer. It is dropped
+	// once Keep of them are on disk.
+	genesis    *snapshot.Image
+	genesisSeq int
 }
 
 // New builds a supervisor around a configured machine (mode switched,
@@ -179,18 +186,19 @@ func (s *Supervisor) Result() Result { return s.res }
 // non-retryable SimError, an exhausted retry budget, or a failure on
 // the degraded path.
 func (s *Supervisor) Run(ctx context.Context) error {
-	// Genesis checkpoint: a failure inside the very first window needs
-	// a restore point too. The run then continues on a machine rebuilt
-	// from that image — the same round trip every Runner boundary
-	// performs — so the first window is executed exactly as a later
-	// resume from the genesis slot (a worker killed before the second
-	// boundary, say) would replay it. Running it on the live machine
-	// instead leaks pre-capture state the image deliberately excludes
-	// (a pending mode-switch refill, for one) into the cycle count and
-	// breaks bit-identical recovery for first-window failures.
-	if _, err := s.saveAndSwap(); err != nil {
+	// Genesis: a failure inside the very first window needs a restore
+	// point too, kept in memory. The run then continues on a machine
+	// rebuilt from that image — the same round trip every Runner
+	// boundary performs — so the first window is executed exactly as a
+	// recovery from it, or a respawned worker booting the same spec,
+	// replays it. Running it on the live machine instead leaks
+	// pre-capture state the image deliberately excludes (a pending
+	// mode-switch refill, for one) into the cycle count.
+	img, err := s.captureAndSwap()
+	if err != nil {
 		return err
 	}
+	s.genesis, s.genesisSeq = img, s.store.seq
 
 	for {
 		s.res.Attempts++
@@ -198,18 +206,11 @@ func (s *Supervisor) Run(ctx context.Context) error {
 			Cycle: s.M.Cycle, Insns: s.M.Insns()})
 
 		r := snapshot.NewRunner(s.M, s.cfg.Interval)
-		r.OnCheckpoint = func(_ int, img *snapshot.Image, _ []byte) error {
-			slot, err := s.store.Save(img)
-			if err != nil {
-				return err
-			}
-			s.res.FinalSlot = slot
-			s.journal.Append(Entry{Event: EventCheckpoint, Attempt: s.res.Attempts,
-				Cycle: img.Cycle, Slot: slot})
+		r.OnCheckpoint = func(_ int, img *snapshot.Image) error {
 			// Crossing a boundary is forward progress: the failure
 			// streak (and with it the backoff ladder) starts over.
 			s.failsAtPoint = 0
-			return nil
+			return s.save(img)
 		}
 		err := r.RunCtx(ctx, s.cfg.MaxCycles)
 		s.M = r.M
@@ -267,7 +268,7 @@ func (s *Supervisor) Run(ctx context.Context) error {
 }
 
 // restore backs off, then swaps in a machine rebuilt from the newest
-// intact rotation slot, carrying over the external attachments (trace
+// usable restore point, carrying over the external attachments (trace
 // sink/source, step hook) the image deliberately excludes.
 func (s *Supervisor) restore(ctx context.Context) error {
 	// A cancellation racing the failure wins: checkpoint and exit
@@ -283,16 +284,13 @@ func (s *Supervisor) restore(ctx context.Context) error {
 	}
 	s.cfg.Sleep(d)
 
-	img, slot, err := s.store.LoadLatest(func(bad string, lerr error) {
-		s.journal.Append(Entry{Event: EventDiscardSlot, Attempt: s.res.Attempts,
-			Slot: bad, Message: lerr.Error()})
-	})
+	img, slot, err := s.restorePoint()
 	if err != nil {
 		return err
 	}
 	fresh, err := snapshot.Swap(s.M, img)
 	if err != nil {
-		return fmt.Errorf("supervisor: restoring %s: %w", slot, err)
+		return fmt.Errorf("supervisor: restoring the image of cycle %d: %w", img.Cycle, err)
 	}
 	s.M = fresh
 
@@ -349,32 +347,39 @@ func (s *Supervisor) degradeWindow(ctx context.Context) error {
 	// Boundary checkpoint + swap, mirroring Runner.checkpoint: the
 	// continued run passes through the same restore operation a later
 	// resume from this slot would.
-	_, err = s.saveAndSwap()
-	return err
+	img, err := s.captureAndSwap()
+	if err != nil {
+		return err
+	}
+	return s.save(img)
 }
 
-// saveAndSwap writes a rotation slot for the current machine, then
-// swaps in a machine rebuilt from that very image (external
-// attachments carried over) — the capture → restore round trip every
-// Runner boundary performs, applied at the boundaries the supervisor
-// writes itself. Anything the image deliberately excludes is thereby
-// excluded from the continued run too, which is what keeps a resume
-// from the slot bit-identical.
-func (s *Supervisor) saveAndSwap() (string, error) {
-	slot, err := s.saveCheckpoint()
-	if err != nil {
-		return "", err
-	}
-	img, err := snapshot.ReadFile(slot)
-	if err != nil {
-		return "", err
-	}
+// captureAndSwap is Runner.checkpoint's capture → restore round trip
+// at the boundaries the supervisor takes itself: what the image
+// excludes, the continued run excludes too, as a resume from it would.
+func (s *Supervisor) captureAndSwap() (*snapshot.Image, error) {
+	img := snapshot.Capture(s.M)
 	fresh, err := snapshot.Swap(s.M, img)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	s.M = fresh
-	return slot, nil
+	return img, nil
+}
+
+// restorePoint returns the newest intact rotation slot and its path,
+// or the genesis and "" when no slot this run wrote is usable: slots
+// already in the directory (a killed worker's, an earlier run's) are
+// older than the genesis.
+func (s *Supervisor) restorePoint() (*snapshot.Image, string, error) {
+	img, slot, err := s.store.LoadLatest(func(bad string, lerr error) {
+		s.journal.Append(Entry{Event: EventDiscardSlot, Attempt: s.res.Attempts,
+			Slot: bad, Message: lerr.Error()})
+	})
+	if n, _ := slotSeq(slot); s.genesis != nil && n <= s.genesisSeq {
+		return s.genesis, "", nil
+	}
+	return img, slot, err
 }
 
 // triage runs the checkpoint-seeded divergence search after a
@@ -387,10 +392,7 @@ func (s *Supervisor) saveAndSwap() (string, error) {
 // search's own failure, which is itself diagnostic — is journaled;
 // triage never changes Run's outcome.
 func (s *Supervisor) triage() {
-	img, slot, err := s.store.LoadLatest(func(bad string, lerr error) {
-		s.journal.Append(Entry{Event: EventDiscardSlot, Attempt: s.res.Attempts,
-			Slot: bad, Message: lerr.Error()})
-	})
+	img, slot, err := s.restorePoint()
 	if err != nil {
 		s.journal.Append(Entry{Event: EventTriage, Attempt: s.res.Attempts,
 			Message: "divergence search aborted: no usable checkpoint: " + err.Error()})
@@ -411,7 +413,7 @@ func (s *Supervisor) triage() {
 	case n < 0:
 		s.journal.Append(Entry{Event: EventTriage, Attempt: s.res.Attempts,
 			Slot: slot, Insns: max,
-			Message: fmt.Sprintf("engines agree up to instruction %d: failure not reproducible from %s", max, slot)})
+			Message: fmt.Sprintf("engines agree up to instruction %d: failure not reproducible from the image of cycle %d", max, img.Cycle)})
 	default:
 		s.journal.Append(Entry{Event: EventTriage, Attempt: s.res.Attempts,
 			Slot: slot, DivergedAt: n, Diff: diag,
@@ -420,27 +422,30 @@ func (s *Supervisor) triage() {
 	}
 }
 
-// saveCheckpoint captures the current machine (at an instruction
-// boundary) into the next rotation slot.
-func (s *Supervisor) saveCheckpoint() (string, error) {
-	slot, err := s.store.Save(snapshot.Capture(s.M))
+// save writes img into the next rotation slot and journals it; the
+// Keep-th slot pushes the genesis out of the rotation.
+func (s *Supervisor) save(img *snapshot.Image) error {
+	slot, err := s.store.Save(img)
 	if err != nil {
-		return "", err
+		return err
 	}
 	s.res.FinalSlot = slot
 	s.journal.Append(Entry{Event: EventCheckpoint, Attempt: s.res.Attempts,
-		Cycle: s.M.Cycle, Slot: slot})
-	return slot, nil
+		Cycle: img.Cycle, Slot: slot})
+	if s.store.seq-s.genesisSeq >= s.cfg.Keep {
+		s.genesis = nil
+	}
+	return nil
 }
 
 // interrupt handles cancellation: write a final checkpoint so no
 // progress is lost, journal it, and return ErrInterrupted wrapping the
 // context cause.
 func (s *Supervisor) interrupt(cause error) error {
-	slot, err := s.saveCheckpoint()
-	if err != nil {
+	if err := s.save(snapshot.Capture(s.M)); err != nil {
 		return fmt.Errorf("supervisor: interrupted and final checkpoint failed: %w", err)
 	}
+	slot := s.res.FinalSlot
 	s.journal.Append(Entry{Event: EventInterrupt, Attempt: s.res.Attempts,
 		Cycle: s.M.Cycle, Insns: s.M.Insns(), Slot: slot})
 	return fmt.Errorf("%w at cycle %d (final checkpoint %s): %w",

@@ -152,6 +152,10 @@ func TestCleanRunCompletes(t *testing.T) {
 	if got := s.Result().FinalSlot; got == "" {
 		t.Fatal("no final checkpoint slot recorded")
 	}
+	// Keep slots on disk have pushed the genesis out of the rotation.
+	if s.genesis != nil {
+		t.Fatal("genesis image still held after Keep newer slots")
+	}
 }
 
 // TestTransientFaultRecoversBitIdentical is the headline acceptance
@@ -235,6 +239,60 @@ func TestCorruptedNewestSlotFallsBack(t *testing.T) {
 		t.Fatalf("journal missing restore: %+v", entries)
 	}
 	assertBitIdentical(t, clean.M, s.M)
+}
+
+// TestFirstWindowFailureRecoversFromGenesis: a fault before the first
+// boundary, with no slot of this run on disk yet, restores the
+// in-memory genesis image and still finishes bit-identical to a clean
+// run — also when the directory holds a finished run's slots, which
+// are not this run's restore points.
+func TestFirstWindowFailureRecoversFromGenesis(t *testing.T) {
+	var cleanJournal bytes.Buffer
+	cleanCfg := fastConfig(t, &cleanJournal)
+	clean := runSupervised(t, buildBench(t), cleanCfg)
+
+	for _, dir := range []struct{ name, path string }{
+		{"empty", t.TempDir()},
+		{"stale", cleanCfg.Dir},
+	} {
+		t.Run(dir.name, func(t *testing.T) {
+			var journal bytes.Buffer
+			cfg := fastConfig(t, &journal)
+			cfg.Dir = dir.path
+			stale := (&Store{Dir: cfg.Dir}).Slots()
+			m := buildBench(t)
+			fired := false
+			m.SetStepHook(func(m *core.Machine) {
+				if fired || m.Insns() < 500 {
+					return
+				}
+				fired = true
+				if slots := (&Store{Dir: cfg.Dir}).Slots(); !reflect.DeepEqual(slots, stale) {
+					t.Errorf("fault is not inside the first window: slots %v on disk, %v before the run", slots, stale)
+				}
+				panic("injected crash in the first window")
+			})
+			s := runSupervised(t, m, cfg)
+			if !fired {
+				t.Fatal("the fault never fired")
+			}
+
+			entries := journalEvents(t, &journal)
+			var restore *Entry
+			for i, e := range entries {
+				if e.Event == EventCheckpoint && restore == nil {
+					t.Fatalf("checkpoint %+v journaled before the first restore", e)
+				}
+				if e.Event == EventRestore && restore == nil {
+					restore = &entries[i]
+				}
+			}
+			if restore == nil || restore.Slot != "" || restore.Cycle != entries[0].Cycle {
+				t.Fatalf("want a restore of the genesis (cycle %d, no slot), got %+v", entries[0].Cycle, restore)
+			}
+			assertBitIdentical(t, clean.M, s.M)
+		})
+	}
 }
 
 // TestPersistentFaultDegradesToSequentialCore: a fault bound to an
