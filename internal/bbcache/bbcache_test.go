@@ -5,6 +5,7 @@ import (
 
 	"ptlsim/internal/decode"
 	"ptlsim/internal/stats"
+	"ptlsim/internal/uops"
 )
 
 func mkbb(rip uint64) *decode.BasicBlock {
@@ -70,8 +71,8 @@ func TestSMCInvalidation(t *testing.T) {
 func TestPageCrossingBlockTracksBothPages(t *testing.T) {
 	tree := stats.NewTree()
 	c := New(16, tree, "bb")
-	k := Key{RIP: 0x1FFA, MFN: 5, MFN2: 6}
-	c.Insert(k, mkbb(0x1FFA))
+	k := Key{RIP: 0x1FFA, MFN: 5}
+	c.insert(k, entry{bb: mkbb(0x1FFA), mfn2: 6})
 	if !c.IsCodePage(5) || !c.IsCodePage(6) {
 		t.Fatal("both pages must be tracked")
 	}
@@ -159,16 +160,48 @@ func TestFrontNeverOutlivesTheMap(t *testing.T) {
 		t.Fatalf("%d blocks after the flush-when-full, want 1", c.Len())
 	}
 
-	// A page-crossing block is inserted under a key with MFN2 set and
-	// looked up without it (ROADMAP housekeeping records this as a
-	// defect to fix with a golden update of its own); the front must
-	// not turn that miss into a hit.
-	cross := Key{RIP: 0x1FFA, MFN: 5, MFN2: 6}
-	c.Insert(cross, mkbb(cross.RIP))
-	c.Lookup(cross)
-	if _, ok := c.Lookup(Key{RIP: 0x1FFA, MFN: 5}); ok {
-		t.Fatal("lookup without MFN2 hit a block inserted with it")
+	// A page-crossing block is cached under the key it is looked up
+	// with, and hits while its second page maps to the frame it was
+	// decoded from. Remapping that page must turn the front's copy into
+	// a miss too, and the rebuilt block replaces the old one.
+	cross := Key{RIP: 0x1FFA, MFN: 5}
+	code := &twoPages{mfn: [2]uint64{5, 6}}
+	first, fault := c.Get(cross, code)
+	if fault != uops.FaultNone {
+		t.Fatal(fault)
 	}
+	if got, _ := c.Get(cross, code); got != first {
+		t.Fatal("a page-crossing block missed with both pages mapped as decoded")
+	}
+	code.mfn[1] = 7
+	if got, _ := c.Get(cross, code); got == first {
+		t.Fatal("a page-crossing block hit after its second page was remapped")
+	}
+	if c.IsCodePage(6) || !c.IsCodePage(7) {
+		t.Fatal("the rebuilt block's second page is not the one tracked")
+	}
+}
+
+// twoPages is a Code with nops on two consecutive virtual pages, 0x1000
+// and 0x2000, mapped to the frames in mfn.
+type twoPages struct{ mfn [2]uint64 }
+
+func (p *twoPages) FetchCode(va uint64, buf []byte) (int, uops.Fault) {
+	if va < 0x1000 || va >= 0x3000 {
+		return 0, uops.FaultPageExec
+	}
+	n := min(len(buf), int(0x3000-va))
+	for i := range buf[:n] {
+		buf[i] = 0x90
+	}
+	return n, uops.FaultNone
+}
+
+func (p *twoPages) Translate(va uint64, write, exec bool) (uint64, uops.Fault) {
+	if va < 0x1000 || va >= 0x3000 {
+		return 0, uops.FaultPageExec
+	}
+	return p.mfn[va>>12-1]<<12 | va&0xFFF, uops.FaultNone
 }
 
 // The four counters are part of core.stats_fnv32, hence of

@@ -3,7 +3,6 @@ package ooo
 import (
 	"ptlsim/internal/bbcache"
 	"ptlsim/internal/bpred"
-	"ptlsim/internal/decode"
 	"ptlsim/internal/evlog"
 	"ptlsim/internal/mem"
 	"ptlsim/internal/tlb"
@@ -167,21 +166,10 @@ func (c *Core) openBB(th *thread) bool {
 	if r.Ready > c.now {
 		th.fetchStallUntil = r.Ready
 	}
-	key := bbcache.Key{RIP: th.fetchRIP, MFN: pa >> mem.PageShift, Kernel: th.ctx.Kernel}
-	bb, ok := c.bbc.Lookup(key)
-	if !ok {
-		var f uops.Fault
-		bb, f = decode.BuildBB(th.ctx.FetchCode, th.fetchRIP)
-		if f != uops.FaultNone {
-			th.fetchFault = f
-			return false
-		}
-		if endPA, ef := th.ctx.Translate(th.fetchRIP+bb.X86Len-1, false, true); ef == uops.FaultNone {
-			if endMFN := endPA >> mem.PageShift; endMFN != key.MFN {
-				key.MFN2 = endMFN
-			}
-		}
-		c.bbc.Insert(key, bb)
+	bb, f := c.bbc.Get(bbcache.Key{RIP: th.fetchRIP, MFN: pa >> mem.PageShift, Kernel: th.ctx.Kernel}, th.ctx)
+	if f != uops.FaultNone {
+		th.fetchFault = f
+		return false
 	}
 	th.curBB = bb
 	th.bbIdx = 0
