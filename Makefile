@@ -98,8 +98,9 @@ ooo-profile:
 	./scripts/ooo_profile.sh
 
 # seq-profile attributes the functional engine's host time to the
-# functions on its fetch / execute / memory path (Step, fetchBB,
-# execInsn, the vm and mem translation path, the BB-cache lookup) and
+# functions on its fetch / execute / memory path (Step, fetchBB, the
+# lowered-block step loop, the vm and mem translation path, the BB-cache
+# lookup) and
 # lists its allocation sites, from BenchmarkSeqStep under pprof: the
 # per-layer view behind benchmark/'s rsync_seq insns_per_s. Output goes
 # to seq-profile-data/.

@@ -29,6 +29,11 @@ type BasicBlock struct {
 	// false the block fell off the cap and fetch falls through to
 	// RIP+X86Len.
 	EndsInBranch bool
+
+	// Lowered is the functional engine's executable form of the block
+	// (internal/seqcore), built the first time that engine runs it and
+	// dropped with the block.
+	Lowered any
 }
 
 // FallThrough returns the next fetch RIP when the block does not end
@@ -41,52 +46,127 @@ func (bb *BasicBlock) FallThrough() uint64 { return bb.RIP + bb.X86Len }
 // handled by the builder calling again at the next page.
 type FetchFunc func(va uint64, buf []byte) (int, uops.Fault)
 
-// BuildBB decodes and translates a basic block starting at rip. A
-// fetch fault on the first instruction is returned to the caller (the
-// core delivers a page fault); an undefined instruction becomes a #UD
-// assist uop so the fault is raised precisely when it executes.
+// Chunks hands out slices carved from chunks of Size elements. No
+// element is handed out twice, so a slice stays valid for as long as
+// anything holds it, whatever happens to the holder that took it. Size
+// 0 allocates every slice on its own.
+type Chunks[T any] struct {
+	Size int
+	free []T
+}
+
+// Take returns n zeroed elements.
+func (c *Chunks[T]) Take(n int) []T {
+	if n > len(c.free) {
+		if n > c.Size {
+			return make([]T, n)
+		}
+		c.free = make([]T, c.Size)
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
+}
+
+// Drop abandons the current chunk: the next Take starts a new one.
+func (c *Chunks[T]) Drop() { c.free = nil }
+
+// Arena builds basic blocks into chunks it owns. Its zero value
+// allocates each block on its own (BuildBB); NewArena's carves blocks
+// from shared chunks, so that building a block allocates nothing once
+// the chunks have room.
+type Arena struct {
+	// What building one block needs, reused block to block: the
+	// translation buffer, the fetch window and the decoded instruction.
+	scratch []uops.Uop
+	window  [x86.MaxInstLen]byte
+	inst    x86.Inst
+
+	uops   Chunks[uops.Uop]
+	blocks Chunks[BasicBlock]
+}
+
+// NewArena returns an arena carving blocks from chunks of 64 blocks
+// and 512 uops (32 KiB).
+func NewArena() *Arena {
+	return &Arena{uops: Chunks[uops.Uop]{Size: 512}, blocks: Chunks[BasicBlock]{Size: 64}}
+}
+
+// Drop abandons the arena's current chunks. Blocks already built stay
+// valid: a chunk is never reused.
+func (a *Arena) Drop() {
+	a.uops.Drop()
+	a.blocks.Drop()
+}
+
+// BuildBB decodes and translates a basic block starting at rip into
+// memory of its own. A fetch fault on the first instruction is returned
+// to the caller (the core delivers a page fault); an undefined
+// instruction becomes a #UD assist uop so the fault is raised precisely
+// when it executes.
 func BuildBB(fetch FetchFunc, rip uint64) (*BasicBlock, uops.Fault) {
-	bb := &BasicBlock{RIP: rip}
-	var window [x86.MaxInstLen]byte
+	var a Arena
+	return a.Build(fetch, rip)
+}
+
+// Build is BuildBB into the arena's chunks.
+func (a *Arena) Build(fetch FetchFunc, rip uint64) (*BasicBlock, uops.Fault) {
+	bb, us, fault := a.build(fetch, rip)
+	a.scratch = us[:0]
+	if fault != uops.FaultNone {
+		return nil, fault
+	}
+	out := &a.blocks.Take(1)[0]
+	*out = bb
+	out.Uops = a.uops.Take(len(us))
+	copy(out.Uops, us)
+	return out, uops.FaultNone
+}
+
+// build decodes the block at rip, translating into the arena's scratch
+// buffer. It returns the block without its uops, and the uops.
+func (a *Arena) build(fetch FetchFunc, rip uint64) (BasicBlock, []uops.Uop, uops.Fault) {
+	bb := BasicBlock{RIP: rip}
+	us := a.scratch[:0]
+	window, inst := a.window[:], &a.inst
 	cur := rip
-	for bb.NumX86 < MaxBBX86Insns && len(bb.Uops) < MaxBBUops {
-		n, fault := fetch(cur, window[:])
+	for bb.NumX86 < MaxBBX86Insns && len(us) < MaxBBUops {
+		n, fault := fetch(cur, window)
 		if n == 0 {
 			if bb.NumX86 == 0 {
 				if fault == uops.FaultNone {
 					fault = uops.FaultPageExec
 				}
-				return nil, fault
+				return bb, us, fault
 			}
 			// Fault will be taken when fetch reaches this RIP.
 			break
 		}
-		inst, err := x86.Decode(window[:n])
+		var err error
+		*inst, err = x86.Decode(window[:n])
 		if err != nil {
 			if errors.Is(err, x86.ErrTruncated) && n < len(window) {
 				// Instruction runs into an unfetchable page: fault on
 				// reaching it, not now.
 				if bb.NumX86 == 0 {
-					return nil, uops.FaultPageExec
+					return bb, us, uops.FaultPageExec
 				}
 				break
 			}
 			// Undefined opcode: raise #UD when executed.
-			ud := uops.Uop{Op: uops.OpAssist, Assist: uops.AssistUD,
-				RIP: cur, X86Len: 1, SOM: true, EOM: true}
-			bb.Uops = append(bb.Uops, ud)
+			us = append(us, uops.Uop{Op: uops.OpAssist, Assist: uops.AssistUD,
+				RIP: cur, X86Len: 1, SOM: true, EOM: true})
 			bb.NumX86++
 			bb.X86Len = cur + 1 - rip
 			bb.EndsInBranch = true // treat as block end
-			return bb, uops.FaultNone
+			return bb, us, uops.FaultNone
 		}
-		us, terr := Translate(&inst, cur)
+		var terr error
+		us, terr = Translate(inst, cur, us)
 		if terr != nil {
-			ud := uops.Uop{Op: uops.OpAssist, Assist: uops.AssistUD,
-				RIP: cur, X86Len: inst.Len, SOM: true, EOM: true}
-			us = []uops.Uop{ud}
+			us = append(us, uops.Uop{Op: uops.OpAssist, Assist: uops.AssistUD,
+				RIP: cur, X86Len: inst.Len, SOM: true, EOM: true})
 		}
-		bb.Uops = append(bb.Uops, us...)
 		bb.NumX86++
 		cur += uint64(inst.Len)
 		bb.X86Len = cur - rip
@@ -95,8 +175,8 @@ func BuildBB(fetch FetchFunc, rip uint64) (*BasicBlock, uops.Fault) {
 			break
 		}
 	}
-	if len(bb.Uops) == 0 {
-		return nil, uops.FaultPageExec
+	if len(us) == 0 {
+		return bb, us, uops.FaultPageExec
 	}
-	return bb, uops.FaultNone
+	return bb, us, uops.FaultNone
 }

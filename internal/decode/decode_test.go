@@ -18,7 +18,7 @@ func mustTranslate(t *testing.T, inst x86.Inst, rip uint64) []uops.Uop {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	us, err := Translate(&dec, rip)
+	us, err := Translate(&dec, rip, nil)
 	if err != nil {
 		t.Fatalf("translate %s: %v", &dec, err)
 	}
@@ -217,7 +217,7 @@ func TestTranslateTotalityFuzz(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		us, terr := Translate(&inst, 0x400000)
+		us, terr := Translate(&inst, 0x400000, nil)
 		if terr != nil {
 			// Acceptable only if it becomes a UD in BuildBB; Translate
 			// itself should handle everything decodable.

@@ -1,6 +1,7 @@
 package decode
 
 import (
+	"slices"
 	"testing"
 
 	"ptlsim/internal/conformance/corpus"
@@ -115,13 +116,54 @@ func seedCorpus(f *testing.F) {
 // FuzzBuildBB feeds arbitrary bytes at an arbitrary RIP through the
 // decoder and translator: whatever the input, BuildBB must not panic,
 // and any block it returns must satisfy the structural invariants the
-// pipeline relies on (group well-formedness, length bounds).
+// pipeline relies on (group well-formedness, length bounds). The same
+// bytes built through an arena (with chunks small enough to run out
+// every few blocks, as the BB cache's do over a run) must give the same
+// block, and must leave the block the arena built before untouched.
 func FuzzBuildBB(f *testing.F) {
 	seedCorpus(f)
+	arena := &Arena{uops: Chunks[uops.Uop]{Size: 64}, blocks: Chunks[BasicBlock]{Size: 4}}
+	var prev *BasicBlock
+	var prevUops []uops.Uop
 	f.Fuzz(func(t *testing.T, code []byte, rip uint64) {
 		bb, fault := BuildBB(fuzzFetch(code, rip, 0), rip)
 		checkBB(t, bb, fault)
+		got, gotFault := arena.Build(fuzzFetch(code, rip, 0), rip)
+		if gotFault != fault {
+			t.Fatalf("arena build faulted %v, heap build %v", gotFault, fault)
+		}
+		if bb == nil {
+			return
+		}
+		if got.RIP != bb.RIP || got.X86Len != bb.X86Len || got.NumX86 != bb.NumX86 ||
+			got.EndsInBranch != bb.EndsInBranch || !slices.Equal(got.Uops, bb.Uops) {
+			t.Fatalf("arena build differs from heap build:\n%+v\n%+v", got, bb)
+		}
+		if prev != nil && !slices.Equal(prev.Uops, prevUops) {
+			t.Fatal("building a block changed the block the arena built before it")
+		}
+		prev, prevUops = got, slices.Clone(got.Uops)
 	})
+}
+
+// TestArenaBuildDoesNotAllocate: building into an arena whose chunks
+// have room allocates nothing, translation buffer included.
+func TestArenaBuildDoesNotAllocate(t *testing.T) {
+	code := []byte{
+		0x48, 0x01, 0xd8, // add rax, rbx
+		0x48, 0x89, 0x47, 0x08, // mov [rdi+8], rax
+		0x48, 0xf7, 0xdb, // neg rbx
+		0xff, 0x47, 0x10, // inc dword [rdi+16]
+		0xf3, 0x48, 0xa5, // rep movsq, which ends the block
+	}
+	arena := &Arena{uops: Chunks[uops.Uop]{Size: 1 << 14}, blocks: Chunks[BasicBlock]{Size: 1 << 8}}
+	fetch := fuzzFetch(code, 0x1000, 0)
+	if bb, fault := arena.Build(fetch, 0x1000); fault != uops.FaultNone || bb.NumX86 != 5 {
+		t.Fatalf("fault %v, block %+v", fault, bb)
+	}
+	if n := testing.AllocsPerRun(100, func() { arena.Build(fetch, 0x1000) }); n != 0 {
+		t.Fatalf("%v allocations per block built into the arena", n)
+	}
 }
 
 // FuzzBuildBBPaged is FuzzBuildBB with the fetch callback returning a

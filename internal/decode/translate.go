@@ -161,21 +161,23 @@ func (t *tx) assist(id uops.AssistID) {
 }
 
 // Translate converts one decoded x86 instruction located at rip into
-// its uop sequence. The first uop is marked SOM and the last EOM; the
-// commit unit retires them atomically.
-func Translate(inst *x86.Inst, rip uint64) ([]uops.Uop, error) {
-	t := &tx{inst: inst, rip: rip, next: rip + uint64(inst.Len), size: inst.OpSize}
+// its uop sequence, appended to out. The first uop is marked SOM and the
+// last EOM; the commit unit retires them atomically. On error out is
+// returned at its original length.
+func Translate(inst *x86.Inst, rip uint64, out []uops.Uop) ([]uops.Uop, error) {
+	t := tx{out: out, inst: inst, rip: rip, next: rip + uint64(inst.Len), size: inst.OpSize}
 	if t.size == 0 {
 		t.size = 8
 	}
 	if err := t.translate(); err != nil {
-		return nil, err
+		return out, err
 	}
-	if len(t.out) == 0 {
-		return nil, fmt.Errorf("decode: empty translation for %s", inst)
+	us := t.out[len(out):]
+	if len(us) == 0 {
+		return out, fmt.Errorf("decode: empty translation for %s", inst)
 	}
-	t.out[0].SOM = true
-	t.out[len(t.out)-1].EOM = true
+	us[0].SOM = true
+	us[len(us)-1].EOM = true
 	return t.out, nil
 }
 

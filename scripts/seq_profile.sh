@@ -13,7 +13,7 @@ out=seq-profile-data
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
 
-funcs='seqcore\.\(\*Core\)\.(Step|fetchBB|execInsn|loadValue|commitStores)$|vm\.\(\*Context\)\.(Translate|ReadVirt)$|mem\.Walk$|mem\.\(\*PhysMem\)\.(Read|Write)$|bbcache\.\(\*Cache\)\.(Lookup|IsCodePage)$|uops\.Exec$|runtime\.mapaccess'
+funcs='seqcore\.\(\*Core\)\.(Step|fetchBB|run|exec|lower|loadValue|commitStores)$|seqcore\.(execUop|load|store)$|vm\.\(\*Context\)\.(Translate|ReadVirt)$|mem\.Walk$|mem\.\(\*PhysMem\)\.(Read|Write)$|bbcache\.\(\*Cache\)\.(Get|IsCodePage)$|uops\.Exec$|runtime\.mapaccess'
 
 for run in rsync:3 memwalk-like:50; do
 	guest=${run%:*}
@@ -31,4 +31,4 @@ for run in rsync:3 memwalk-like:50; do
 	go tool pprof -sample_index=alloc_space -top -nodecount 8 "$out/seq.test" "$out/$guest.mem.pprof" 2>/dev/null |
 		sed -n '/flat%/,$p'
 done
-echo "profiles and the test binary are in $out (go tool pprof -list 'Core..execInsn' $out/seq.test $out/rsync.cpu.pprof)"
+echo "profiles and the test binary are in $out (go tool pprof -list 'Core..exec$' $out/seq.test $out/rsync.cpu.pprof)"
