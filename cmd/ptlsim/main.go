@@ -19,7 +19,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -200,20 +199,20 @@ func main() {
 			if interval == 0 {
 				interval = 10_000_000
 			}
-			var jw io.Writer
+			var journal *supervisor.Journal
 			if *journalOut != "" {
 				jf, jerr := os.OpenFile(*journalOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 				if jerr != nil {
 					fatal(jerr)
 				}
 				defer jf.Close()
-				jw = jf
+				journal = supervisor.NewJournal(jf)
 			}
 			sup, err = supervisor.New(m, supervisor.Config{
 				Interval: interval, MaxCycles: cfg.MaxCycles,
 				Dir: *ckptDir, Keep: *keepCkpts,
 				MaxRetries: *maxRetries, DegradeAfter: *degradeAft,
-				Journal: jw, Triage: *triage,
+				Journal: journal, Triage: *triage,
 			})
 			if err != nil {
 				fatal(err)

@@ -214,7 +214,7 @@ func TestSupervisedTriage(t *testing.T) {
 	var journal bytes.Buffer
 	sup, err := supervisor.New(m, supervisor.Config{
 		Interval: 4_000_000_000, Dir: t.TempDir(),
-		Journal: &journal, Triage: true, TriageInterval: 64,
+		Journal: supervisor.NewJournal(&journal), Triage: true, TriageInterval: 64,
 		Sleep: func(time.Duration) {},
 	})
 	if err != nil {

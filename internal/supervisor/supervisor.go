@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"ptlsim/internal/core"
@@ -65,8 +64,11 @@ type Config struct {
 	// BackoffMax. Defaults: 100ms base, 10s cap.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Journal receives the JSONL run journal (nil = no journal).
-	Journal io.Writer
+	// Journal receives the JSONL run journal (nil = no journal). A
+	// caller that journals before the run (a respawned worker's
+	// discarded slots) passes the same Journal, so every entry counts
+	// from one run start.
+	Journal *Journal
 	// Triage enables the automatic divergence search when an attempt
 	// dies with a self-check failure (a divergence or invariant
 	// SimError): the newest intact rotation slot seeds a checkpointed
@@ -172,7 +174,7 @@ func New(m *core.Machine, cfg Config) (*Supervisor, error) {
 		M:       m,
 		cfg:     cfg,
 		store:   store,
-		journal: NewJournal(cfg.Journal),
+		journal: cfg.Journal,
 	}, nil
 }
 

@@ -62,7 +62,7 @@ func fastConfig(t *testing.T, journal *bytes.Buffer) Config {
 		MaxRetries:  8,
 		BackoffBase: time.Microsecond,
 		BackoffMax:  10 * time.Microsecond,
-		Journal:     journal,
+		Journal:     NewJournal(journal),
 	}
 }
 
