@@ -209,11 +209,32 @@ func (c *Cache) untrack(mfn uint64, key Key) {
 	}
 }
 
-// IsCodePage reports whether any cached block has code bytes on mfn —
-// the SMC store-side check every committed store performs.
+// IsCodePage reports whether any cached block has code bytes on mfn.
 func (c *Cache) IsCodePage(mfn uint64) bool {
 	_, ok := c.byPage[mfn]
 	return ok
+}
+
+// InvalidateStore is the store-side SMC check every committed store
+// performs, on both engines: it drops the cached blocks of every code
+// page s writes (its second page too, if it crosses onto one) and
+// returns how many code pages it dropped.
+func (c *Cache) InvalidateStore(s mem.Store) int {
+	n := c.invalidateCode(s.PA >> mem.PageShift)
+	if s.Crosses() {
+		n += c.invalidateCode(s.PA2 >> mem.PageShift)
+	}
+	return n
+}
+
+// invalidateCode drops mfn's blocks if it is a code page and reports
+// whether it was (1) or not (0).
+func (c *Cache) invalidateCode(mfn uint64) int {
+	if !c.IsCodePage(mfn) {
+		return 0
+	}
+	c.InvalidatePage(mfn)
+	return 1
 }
 
 // InvalidatePage drops every cached block with code on mfn (a store

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ptlsim/internal/decode"
+	"ptlsim/internal/mem"
 	"ptlsim/internal/stats"
 	"ptlsim/internal/uops"
 )
@@ -65,6 +66,49 @@ func TestSMCInvalidation(t *testing.T) {
 	}
 	if c.IsCodePage(5) {
 		t.Fatal("page still tracked after invalidation")
+	}
+}
+
+// InvalidateStore drops every code page a store writes — a
+// page-crossing store's second page too — and counts the pages.
+func TestInvalidateStore(t *testing.T) {
+	// Frames 5 and 9 hold code, frame 4 does not; virtually the pages
+	// are 0x1000 (frame 4), 0x2000 (5) and 0x3000 (9).
+	cases := []struct {
+		name  string
+		store mem.Store
+		want  int
+		gone  []uint64 // frames whose blocks the store drops
+		kept  []uint64
+	}{
+		{"inside one page", mem.Store{VA: 0x2100, PA: 5<<12 | 0x100, Val: 1, Size: 8}, 1, []uint64{5}, []uint64{9}},
+		{"data page into code page", mem.Store{VA: 0x1FFC, PA: 4<<12 | 0xFFC, PA2: 5 << 12, Val: 1, Size: 8}, 1, []uint64{5}, []uint64{9}},
+		{"code page into code page", mem.Store{VA: 0x2FFC, PA: 5<<12 | 0xFFC, PA2: 9 << 12, Val: 1, Size: 8}, 2, []uint64{5, 9}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := stats.NewTree()
+			c := New(16, tree, "bb")
+			for _, mfn := range []uint64{5, 9} {
+				c.Insert(Key{RIP: mfn << 12, MFN: mfn}, mkbb(mfn<<12))
+			}
+			if n := c.InvalidateStore(tc.store); n != tc.want {
+				t.Errorf("InvalidateStore dropped %d code pages, want %d", n, tc.want)
+			}
+			for _, mfn := range tc.gone {
+				if _, ok := c.Lookup(Key{RIP: mfn << 12, MFN: mfn}); ok || c.IsCodePage(mfn) {
+					t.Errorf("frame %d's block survived the store", mfn)
+				}
+			}
+			for _, mfn := range tc.kept {
+				if _, ok := c.Lookup(Key{RIP: mfn << 12, MFN: mfn}); !ok {
+					t.Errorf("frame %d's block was dropped by a store that does not touch it", mfn)
+				}
+			}
+			if got := tree.Lookup("bb.smc_flushes").Value(); got != int64(tc.want) {
+				t.Errorf("bb.smc_flushes = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -306,22 +306,12 @@ func firstDivergenceFrom(ref *core.Machine, simCfg core.Config, max, interval in
 		eq, d := CompareEngines(Observe(refP), Observe(simP))
 		return eq, d, nil
 	}
-	lo, hi := base+1, bounds[badK] // invariant: diverged at hi (scan proved it)
-	hiDiag := diag
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		eq, d, err := probe(mid)
-		if err != nil {
-			return 0, "", st, err
-		}
-		if eq {
-			lo = mid + 1
-		} else {
-			hi = mid
-			hiDiag = d
-		}
+	// The scan proved divergence at bounds[badK].
+	n, diag, err := bisect(base+1, bounds[badK], diag, probe)
+	if err != nil {
+		return 0, "", st, err
 	}
-	return hi, hiDiag, st, nil
+	return n, diag, st, nil
 }
 
 // FirstDivergence binary searches [1, max] for the smallest n at which
@@ -336,8 +326,13 @@ func FirstDivergence(max int64, probe Probe) (int64, string, error) {
 	if eq {
 		return -1, "", nil
 	}
-	lo, hi := int64(1), max // invariant: diverged at hi, unknown below
-	hiDiag := diag
+	return bisect(1, max, diag, probe)
+}
+
+// bisect returns the smallest n in [lo, hi] at which probe reports
+// divergence, and its diagnosis, given that the engines diverge at hi
+// (with diagnosis hiDiag) and that divergence persists once it appears.
+func bisect(lo, hi int64, hiDiag string, probe Probe) (int64, string, error) {
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		eq, diag, err := probe(mid)
@@ -347,8 +342,7 @@ func FirstDivergence(max int64, probe Probe) (int64, string, error) {
 		if eq {
 			lo = mid + 1
 		} else {
-			hi = mid
-			hiDiag = diag
+			hi, hiDiag = mid, diag
 		}
 	}
 	return hi, hiDiag, nil

@@ -113,7 +113,9 @@ func TestSampledRunCompletes(t *testing.T) {
 	}
 	tree := stats.NewTree()
 	m := core.NewMachine(dom, tree, core.DefaultConfig())
-	if err := RunSampled(m, SampleConfig{SimInsns: 2000, NativeInsns: 8000}, 0); err != nil {
+	// The guest shuts down at about cycle 2·10^10 (see TestRIPTrigger);
+	// the budget turns an engine that never gets there into a failure.
+	if err := RunSampled(m, SampleConfig{SimInsns: 2000, NativeInsns: 8000}, 50_000_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(dom.Console(), "rsync ok") {
@@ -145,9 +147,12 @@ func TestRIPTrigger(t *testing.T) {
 	if dom.VCPUs[0].RIP != img.SysEntry {
 		t.Fatalf("stopped at %#x", dom.VCPUs[0].RIP)
 	}
-	// Seamless continuation in sim mode afterwards.
+	// Seamless continuation in sim mode afterwards. The guest shuts
+	// down at about cycle 2·10^10, most of it idle time the machine
+	// jumps over; the budget turns an engine that never gets there into
+	// a failure, not a hang.
 	m.SwitchMode(core.ModeSim)
-	if err := m.Run(0); err != nil {
+	if err := m.Run(50_000_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(dom.Console(), "rsync ok") {

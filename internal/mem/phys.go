@@ -115,8 +115,9 @@ func (pm *PhysMem) InstallPage(mfn uint64, data []byte) {
 // entry derived from a PTE in frame mfn: from now on every Write or
 // WriteBytes touching the frame moves TranslationGen. This is the one
 // write-side coherence hook of vm.Context's host-side translation
-// cache, the same shape as bbcache.IsCodePage's store-side SMC check;
-// marks are sticky (a superset of the live page-table frames is safe).
+// cache, the same shape as bbcache.InvalidateStore's store-side SMC
+// check; marks are sticky (a superset of the live page-table frames is
+// safe).
 func (pm *PhysMem) MarkPageTable(mfn uint64) {
 	if f := pm.pages[mfn]; f.page != nil && !f.pageTable {
 		f.pageTable = true
@@ -226,6 +227,34 @@ func (pm *PhysMem) Write(pa uint64, v uint64, size uint8) error {
 		page[(pa+uint64(i))&PageMask] = byte(v >> (8 * i))
 	}
 	return nil
+}
+
+// Store is one committed store: the low Size bytes of Val at virtual
+// address VA. PA is the physical address of its first byte; a store
+// that runs onto a second page (Crosses) goes on at PA2, the physical
+// address of that page's first byte written. Both engines translate
+// both pages when the store executes, so a store faults before any of
+// its bytes is written.
+type Store struct {
+	VA, PA, PA2 uint64
+	Val         uint64
+	Size        uint8
+}
+
+// Crosses reports whether s runs onto a second page.
+func (s Store) Crosses() bool { return s.PA&PageMask+uint64(s.Size) > PageSize }
+
+// WriteStore writes s to physical memory, the bytes past the end of
+// PA's page at PA2.
+func (pm *PhysMem) WriteStore(s Store) error {
+	if !s.Crosses() {
+		return pm.Write(s.PA, s.Val, s.Size)
+	}
+	f := uint8(PageSize - s.PA&PageMask)
+	if err := pm.Write(s.PA, s.Val, f); err != nil {
+		return err
+	}
+	return pm.Write(s.PA2, s.Val>>(8*f), s.Size-f)
 }
 
 // writable returns the page a write to frame mfn lands in (nil if

@@ -148,8 +148,7 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 			}
 			c.storeBuf = c.storeBuf[:0]
 		}
-		smcPage := uint64(0)
-		smcHit := false
+		smcHit, smcPA := false, uint64(0)
 		for k := 0; k < n; k++ {
 			e := th.robAt(0)
 			u := &e.uop
@@ -161,12 +160,14 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 					c.prf[e.flPhys].value, u.SetFlags)
 			}
 			if u.IsStore() {
+				s := mem.Store{VA: e.ea, PA: e.pa, PA2: e.pa2, Val: e.storeData, Size: u.MemSize}
 				if c.checker != nil {
-					c.storeBuf = append(c.storeBuf, CommittedStore{
-						EA: e.ea, PA: e.pa, PA2: e.pa2, Data: e.storeData, Size: u.MemSize})
+					c.storeBuf = append(c.storeBuf, s)
 				}
-				if page, hit := c.applyStore(th, e); hit {
-					smcPage, smcHit = page, true
+				_ = ctx.M.PM.WriteStore(s)
+				c.hier.Store(s.PA, c.now)
+				if c.bbc.InvalidateStore(s) > 0 {
+					smcHit, smcPA = true, s.PA
 				}
 			}
 			if u.IsBranch() {
@@ -224,13 +225,14 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 		}
 
 		if smcHit {
-			// Self-modifying code: flush everything decoded from the
-			// written page and restart the pipeline after this insn.
-			c.bbc.InvalidatePage(smcPage)
+			// Self-modifying code: the group's stores dropped every
+			// block decoded from the code pages they wrote; restart the
+			// pipeline after this insn. The event names the last store
+			// that hit code.
 			c.cSMC.Inc()
 			if c.ev != nil {
 				c.ev.Record(evlog.Event{Cycle: c.now, Seq: c.seq, RIP: ctx.RIP,
-					Arg: smcPage << mem.PageShift, Op: evlog.NoOp,
+					Arg: smcPA, Op: evlog.NoOp,
 					Stage: evlog.StageSMC, Core: uint8(c.ID), Thread: uint8(th.id)})
 			}
 			c.FullFlush(th.id)
@@ -277,32 +279,6 @@ func (c *Core) groupStatus(th *thread) (n int, complete bool, faultAt int) {
 		}
 	}
 	return 0, false, -1
-}
-
-// applyStore writes a committed store to physical memory through the
-// cache hierarchy and reports whether it hit a code page (SMC).
-func (c *Core) applyStore(th *thread, e *robEntry) (uint64, bool) {
-	size := e.uop.MemSize
-	first := mem.PageSize - e.ea&mem.PageMask
-	if first >= uint64(size) {
-		_ = th.ctx.M.PM.Write(e.pa, e.storeData, size)
-	} else {
-		f := uint8(first)
-		_ = th.ctx.M.PM.Write(e.pa, e.storeData&uops.Mask(f), f)
-		_ = th.ctx.M.PM.Write(e.pa2, e.storeData>>(8*f), size-f)
-	}
-	c.hier.Store(e.pa, c.now)
-	mfn := e.pa >> mem.PageShift
-	if c.bbc.IsCodePage(mfn) {
-		return mfn, true
-	}
-	if uint64(first) < uint64(size) {
-		mfn2 := e.pa2 >> mem.PageShift
-		if c.bbc.IsCodePage(mfn2) {
-			return mfn2, true
-		}
-	}
-	return 0, false
 }
 
 // popLSQ removes a committed entry from the head of its LDQ/STQ.

@@ -8,6 +8,7 @@ import (
 	"ptlsim/internal/cache"
 	"ptlsim/internal/decode"
 	"ptlsim/internal/evlog"
+	"ptlsim/internal/mem"
 	"ptlsim/internal/simerr"
 	"ptlsim/internal/stats"
 	"ptlsim/internal/tlb"
@@ -123,14 +124,6 @@ type thread struct {
 	itlb *tlb.TLB
 }
 
-// CommittedStore describes one store applied to memory by a committing
-// instruction group (PA2 is nonzero only for page-crossing stores).
-type CommittedStore struct {
-	EA, PA, PA2 uint64
-	Data        uint64
-	Size        uint8
-}
-
 // CommitChecker observes architectural commit boundaries — the hook the
 // lockstep commit oracle (internal/selfcheck) attaches through. All
 // three methods fire synchronously inside the commit stage.
@@ -149,7 +142,7 @@ type CommitChecker interface {
 	// PostCommit fires after the group has fully committed: ctx holds
 	// the post-group architectural state, insns the total committed x86
 	// instruction count, and stores the group's store traffic.
-	PostCommit(t int, ctx *vm.Context, insns int64, stores []CommittedStore) error
+	PostCommit(t int, ctx *vm.Context, insns int64, stores []mem.Store) error
 	// Resync fires after any full pipeline flush that re-architects
 	// state outside the clean-commit path (exception and interrupt
 	// delivery, microcode assists, SMC restarts): the checker must
@@ -210,7 +203,7 @@ type Core struct {
 	// lockstep oracle); storeBuf collects the committing group's store
 	// traffic for it.
 	checker  CommitChecker
-	storeBuf []CommittedStore
+	storeBuf []mem.Store
 
 	// auditEvery, when positive, runs the pipeline invariant auditor at
 	// the top of every auditEvery-th cycle; auditScratch is its reused

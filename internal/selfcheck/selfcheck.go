@@ -13,7 +13,7 @@ import (
 	"fmt"
 
 	"ptlsim/internal/bbcache"
-	"ptlsim/internal/ooo"
+	"ptlsim/internal/mem"
 	"ptlsim/internal/seqcore"
 	"ptlsim/internal/simerr"
 	"ptlsim/internal/stats"
@@ -69,7 +69,7 @@ type shadowThread struct {
 	core *seqcore.Core
 
 	// Results of the PreCommit shadow step, consumed at PostCommit.
-	stores []seqcore.ShadowStore
+	stores []mem.Store
 	fault  uops.Fault
 
 	// lastCompared/lastInsns track the sampled-compare schedule and the
@@ -159,7 +159,7 @@ func (o *Oracle) PreCommit(t int, ctx *vm.Context, rip uint64, noCount bool) err
 // PostCommit compares the shadow against the primary's post-group
 // state: store traffic at every commit, the architectural register
 // file on the sampling schedule.
-func (o *Oracle) PostCommit(t int, ctx *vm.Context, insns int64, stores []ooo.CommittedStore) error {
+func (o *Oracle) PostCommit(t int, ctx *vm.Context, insns int64, stores []mem.Store) error {
 	sh := o.shadows[t]
 	if sh == nil {
 		return nil
@@ -172,10 +172,10 @@ func (o *Oracle) PostCommit(t int, ctx *vm.Context, insns int64, stores []ooo.Co
 	}
 	for i := range stores {
 		p, s := stores[i], sh.stores[i]
-		if p.EA != s.VA || p.Size != s.Size || p.Data != s.Val {
+		if p.VA != s.VA || p.Size != s.Size || p.Val != s.Val {
 			return o.divergeErr(sh, ctx, insns,
 				fmt.Sprintf("thread %d: store %d mismatch: primary [va %#x size %d val %#x], shadow [va %#x size %d val %#x]",
-					t, i, p.EA, p.Size, p.Data, s.VA, s.Size, s.Val))
+					t, i, p.VA, p.Size, p.Val, s.VA, s.Size, s.Val))
 		}
 	}
 	if insns-sh.lastCompared >= o.interval {

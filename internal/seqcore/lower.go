@@ -213,20 +213,23 @@ func load(c *Core, s *step) status {
 }
 
 // store translates and buffers a store for its instruction's commit
-// step. A page-crossing store probes its second page here, so the whole
-// instruction faults before any byte is written.
+// step. A page-crossing store translates its second page here too, so
+// the whole instruction faults before any byte is written and the
+// commit writes physically.
 func store(c *Core, s *step) status {
 	ctx := c.Ctx
 	va := ctx.Regs[s.ra] + ctx.Regs[s.rb]<<s.scale + s.imm
-	pa, fault := ctx.Translate(va, true, false)
+	st := mem.Store{VA: va, Val: ctx.Regs[s.rc] & s.mask, Size: s.size}
+	var fault uops.Fault
+	st.PA, fault = ctx.Translate(va, true, false)
 	if first := mem.PageSize - va&mem.PageMask; fault == uops.FaultNone && first < uint64(s.size) {
-		_, fault = ctx.Translate(va+first, true, false)
+		st.PA2, fault = ctx.Translate(va+first, true, false)
 	}
 	if fault != uops.FaultNone {
 		c.fault = fault
 		return stFault
 	}
-	c.stores = append(c.stores, pendingStore{va: va, pa: pa, val: ctx.Regs[s.rc] & s.mask, size: s.size})
+	c.stores = append(c.stores, st)
 	return stNext
 }
 
@@ -331,7 +334,7 @@ func (c *Core) execHooked(b *block, from, to int) (int, status) {
 			}
 		case kStore:
 			ps := &c.stores[len(c.stores)-1]
-			obs.OnStore(ps.va, ps.pa, ps.size)
+			obs.OnStore(ps.VA, ps.PA, ps.Size)
 		case kBranch:
 			obs.OnBranch(s.u.RIP, c.target != s.u.RIPNot, c.target, s.u.Branch)
 		}

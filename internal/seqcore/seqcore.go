@@ -29,22 +29,6 @@ const (
 	StepIdle                 // VCPU halted with no pending event
 )
 
-// pendingStore is a store buffered until its instruction commits.
-type pendingStore struct {
-	va, pa uint64
-	val    uint64
-	size   uint8
-}
-
-// ShadowStore is one store a phantom-mode core would have performed:
-// buffered for comparison against the primary engine's committed store
-// traffic instead of being written to physical memory.
-type ShadowStore struct {
-	VA, PA uint64
-	Val    uint64
-	Size   uint8
-}
-
 // errShadowFault is the sentinel a phantom-mode core returns instead of
 // delivering an exception through the guest trap entry; the faulting
 // vector is left in Core.shadowFault for the caller.
@@ -86,7 +70,7 @@ type Core struct {
 	// Per-instruction atomicity buffers: the stores an instruction
 	// buffers until it commits, and the registers before an instruction
 	// that may have to be rolled back.
-	stores []pendingStore
+	stores []mem.Store
 	saved  [uops.NumArchRegs]uint64
 
 	// What the steps of a lowered block leave for the loop that runs
@@ -113,7 +97,7 @@ type Core struct {
 	// refused (the primary engine never routes an assist through the
 	// clean-commit path a shadow mirrors).
 	phantom      bool
-	shadowStores []ShadowStore
+	shadowStores []mem.Store
 	shadowFault  uops.Fault
 	// shadowBlock/shadowIdx carry the intra-block position (a group
 	// index) between StepShadow calls: consecutive uop groups can share
@@ -195,7 +179,7 @@ func NewShadow(ctx *vm.Context, sys vm.System, bb *bbcache.Cache, tree *stats.Tr
 // early. StepShadow returns the group's buffered stores (valid until
 // the next call) and any architectural fault the group raised; faults
 // are reported, not delivered. Only valid on phantom cores.
-func (c *Core) StepShadow(noCount bool) ([]ShadowStore, uops.Fault, error) {
+func (c *Core) StepShadow(noCount bool) ([]mem.Store, uops.Fault, error) {
 	if !c.phantom {
 		return nil, uops.FaultNone, fmt.Errorf("seqcore: StepShadow on a non-phantom core")
 	}
@@ -263,54 +247,22 @@ func (c *Core) rollback(undo bool) {
 }
 
 // commitStores applies the instruction's buffered stores and performs
-// the SMC store-side check.
+// the SMC store-side check. A phantom core moves them to the comparison
+// buffer instead, since the primary engine performs the real writes at
+// its own commit; its private block cache must still drop written code
+// pages or it would replay stale translations after self-modifying
+// code.
 func (c *Core) commitStores() {
-	if c.phantom {
-		// Phantom mode: the primary engine performs the real writes at
-		// its own commit; here the stores only move to the comparison
-		// buffer. The shadow's private decode cache must still drop
-		// blocks on written code pages or it would keep replaying stale
-		// translations after self-modifying code.
-		for _, s := range c.stores {
-			if c.bb != nil {
-				if mfn := s.pa >> mem.PageShift; c.bb.IsCodePage(mfn) {
-					c.bb.InvalidatePage(mfn)
-					c.smcFlushes.Inc()
-				}
-				if first := mem.PageSize - s.va&mem.PageMask; first < uint64(s.size) {
-					if pa2, fault := c.Ctx.Translate(s.va+first, true, false); fault == uops.FaultNone {
-						if mfn2 := pa2 >> mem.PageShift; c.bb.IsCodePage(mfn2) {
-							c.bb.InvalidatePage(mfn2)
-							c.smcFlushes.Inc()
-						}
-					}
-				}
-			}
-			c.shadowStores = append(c.shadowStores, ShadowStore{VA: s.va, PA: s.pa, Val: s.val, Size: s.size})
-		}
-		c.stores = c.stores[:0]
-		return
-	}
 	for _, s := range c.stores {
-		// The page(s) were translated at execute time; write physically.
-		first := mem.PageSize - s.pa&mem.PageMask
-		if first >= uint64(s.size) {
-			_ = c.Ctx.M.PM.Write(s.pa, s.val, s.size)
-		} else {
-			f := uint8(first)
-			_ = c.Ctx.M.PM.Write(s.pa, s.val&uops.Mask(f), f)
-			// Page-crossing store: retranslate the second half (same
-			// translation that succeeded at execute time).
-			pa2, fault := c.Ctx.Translate(s.va+first, true, false)
-			if fault == uops.FaultNone {
-				_ = c.Ctx.M.PM.Write(pa2, s.val>>(8*f), s.size-f)
-			}
+		if !c.phantom {
+			_ = c.Ctx.M.PM.WriteStore(s)
 		}
-		mfn := s.pa >> mem.PageShift
-		if c.bb != nil && c.bb.IsCodePage(mfn) {
-			c.bb.InvalidatePage(mfn)
-			c.smcFlushes.Inc()
+		if c.bb != nil {
+			c.smcFlushes.Add(int64(c.bb.InvalidateStore(s)))
 		}
+	}
+	if c.phantom {
+		c.shadowStores = append(c.shadowStores, c.stores...)
 	}
 	c.stores = c.stores[:0]
 }
@@ -388,8 +340,8 @@ func (c *Core) Step() (StepKind, error) {
 // instruction's buffered stores on an exact address/size match.
 func (c *Core) loadValue(va uint64, size uint8) (uint64, uops.Fault) {
 	for i := len(c.stores) - 1; i >= 0; i-- {
-		if c.stores[i].va == va && c.stores[i].size == size {
-			return c.stores[i].val, uops.FaultNone
+		if c.stores[i].VA == va && c.stores[i].Size == size {
+			return c.stores[i].Val, uops.FaultNone
 		}
 	}
 	return c.Ctx.ReadVirt(va, size)

@@ -145,27 +145,21 @@ func (c *Context) ReadVirt(va uint64, size uint8) (uint64, uops.Fault) {
 	return lo | hi<<(8*first), uops.FaultNone
 }
 
-// WriteVirt writes the low size bytes of v at guest virtual va.
+// WriteVirt writes the low size bytes of v at guest virtual va. A
+// page-crossing write translates both pages before it writes a byte,
+// as the store units do.
 func (c *Context) WriteVirt(va, v uint64, size uint8) uops.Fault {
-	first := splitAt(va, size)
-	pa, fault := c.Translate(va, true, false)
-	if fault != uops.FaultNone {
+	s := mem.Store{VA: va, Val: v, Size: size}
+	var fault uops.Fault
+	if s.PA, fault = c.Translate(va, true, false); fault != uops.FaultNone {
 		return fault
 	}
-	if first == size {
-		if err := c.M.PM.Write(pa, v, size); err != nil {
-			return uops.FaultPageWrite
+	if first := splitAt(va, size); first < size {
+		if s.PA2, fault = c.Translate(va+uint64(first), true, false); fault != uops.FaultNone {
+			return fault
 		}
-		return uops.FaultNone
 	}
-	if err := c.M.PM.Write(pa, v&uops.Mask(first), first); err != nil {
-		return uops.FaultPageWrite
-	}
-	pa2, fault := c.Translate(va+uint64(first), true, false)
-	if fault != uops.FaultNone {
-		return fault
-	}
-	if err := c.M.PM.Write(pa2, v>>(8*first), size-first); err != nil {
+	if err := c.M.PM.WriteStore(s); err != nil {
 		return uops.FaultPageWrite
 	}
 	return uops.FaultNone

@@ -216,4 +216,9 @@ func TestPageCrossingVirtAccess(t *testing.T) {
 	if f := c.WriteVirt(0x1FFC, 1, 8); f == uops.FaultNone {
 		t.Fatal("user write crossing into kernel page must fault")
 	}
+	// ... before it writes a byte of the first page.
+	c.Kernel = true
+	if v, _ := c.ReadVirt(0x1FFC, 8); v != 0xAABBCCDDEEFF0011 {
+		t.Fatalf("a faulting page-crossing write changed memory: %#x", v)
+	}
 }

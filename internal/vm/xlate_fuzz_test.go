@@ -364,12 +364,12 @@ func (r *refCPU) writeVirt(va, v uint64, size uint8) uops.Fault {
 		}
 		return uops.FaultNone
 	}
-	if err := r.pm.Write(pa, v&uops.Mask(first), first); err != nil {
-		return uops.FaultPageWrite
-	}
 	pa2, fault := r.translate(va+uint64(first), true, false)
 	if fault != uops.FaultNone {
 		return fault
+	}
+	if err := r.pm.Write(pa, v&uops.Mask(first), first); err != nil {
+		return uops.FaultPageWrite
 	}
 	if err := r.pm.Write(pa2, v>>(8*first), size-first); err != nil {
 		return uops.FaultPageWrite

@@ -13,7 +13,7 @@ out=seq-profile-data
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
 
-funcs='seqcore\.\(\*Core\)\.(Step|fetchBB|run|exec|lower|loadValue|commitStores)$|seqcore\.(execUop|load|store)$|vm\.\(\*Context\)\.(Translate|ReadVirt)$|mem\.Walk$|mem\.\(\*PhysMem\)\.(Read|Write)$|bbcache\.\(\*Cache\)\.(Get|IsCodePage)$|uops\.Exec$|runtime\.mapaccess'
+funcs='seqcore\.\(\*Core\)\.(Step|fetchBB|run|exec|lower|loadValue|commitStores)$|seqcore\.(execUop|load|store)$|vm\.\(\*Context\)\.(Translate|ReadVirt)$|mem\.Walk$|mem\.\(\*PhysMem\)\.(Read|Write|WriteStore)$|bbcache\.\(\*Cache\)\.(Get|InvalidateStore)$|uops\.Exec$|runtime\.mapaccess'
 
 for run in rsync:3 memwalk-like:50; do
 	guest=${run%:*}
