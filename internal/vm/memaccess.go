@@ -215,21 +215,22 @@ func (c *Context) ReadVirtBytes(va uint64, buf []byte) uops.Fault {
 	return uops.FaultNone
 }
 
-// WriteVirtBytes copies a byte range into guest virtual memory.
+// WriteVirtBytes copies a byte range into guest virtual memory. Like
+// WriteVirt, it translates every page of the range before it writes a
+// byte, so a range that faults leaves memory as it was.
 func (c *Context) WriteVirtBytes(va uint64, buf []byte) uops.Fault {
-	for i := 0; i < len(buf); {
-		pa, fault := c.Translate(va+uint64(i), true, false)
-		if fault != uops.FaultNone {
-			return fault
+	for write := range 2 {
+		for i := 0; i < len(buf); {
+			pa, fault := c.Translate(va+uint64(i), true, false)
+			if fault != uops.FaultNone {
+				return fault
+			}
+			n := min(int(mem.PageSize-pa&mem.PageMask), len(buf)-i)
+			if write == 1 && c.M.PM.WriteBytes(pa, buf[i:i+n]) != nil {
+				return uops.FaultPageWrite
+			}
+			i += n
 		}
-		n := int(mem.PageSize - pa&mem.PageMask)
-		if n > len(buf)-i {
-			n = len(buf) - i
-		}
-		if err := c.M.PM.WriteBytes(pa, buf[i:i+n]); err != nil {
-			return uops.FaultPageWrite
-		}
-		i += n
 	}
 	return uops.FaultNone
 }

@@ -221,4 +221,14 @@ func TestPageCrossingVirtAccess(t *testing.T) {
 	if v, _ := c.ReadVirt(0x1FFC, 8); v != 0xAABBCCDDEEFF0011 {
 		t.Fatalf("a faulting page-crossing write changed memory: %#x", v)
 	}
+	// The same holds for a byte range (hypervisor console and DMA
+	// copies).
+	c.Kernel = false
+	if f := c.WriteVirtBytes(0x1FFC, make([]byte, 8)); f == uops.FaultNone {
+		t.Fatal("user byte copy crossing into kernel page must fault")
+	}
+	c.Kernel = true
+	if v, _ := c.ReadVirt(0x1FFC, 8); v != 0xAABBCCDDEEFF0011 {
+		t.Fatalf("a faulting page-crossing byte copy changed memory: %#x", v)
+	}
 }
