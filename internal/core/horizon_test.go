@@ -25,15 +25,14 @@ import (
 // as predicted.
 
 // stepOneCycle is Machine.step without the next-event clock: when some
-// VCPU is awake, one cycle of every core and the clock moves by one. (A
-// fully halted domain sleeps to its next deadline through the product's
-// own code; that case is as old as the idle skip.)
+// VCPU is awake, one cycle of every core and the clock moves by one; a
+// fully halted domain sleeps one cycle (the cores are not clocked).
 func stepOneCycle(m *Machine) error {
 	if h, halted := m.horizon(never); halted {
 		if h == never {
 			return m.deadlockErr(true)
 		}
-		return m.skipTo(h, true)
+		return m.skipTo(m.Cycle+1, true)
 	}
 	for _, c := range m.oooCores {
 		if err := c.Cycle(m.Cycle); err != nil {
@@ -142,32 +141,44 @@ func TestJumpedRunEqualsSteppedRun(t *testing.T) {
 	}
 }
 
+// bootRsync builds the rsync guest at test size (one 1 KiB file) into a
+// machine in the given mode. It sleeps between timer ticks.
+func bootRsync(t testing.TB, cfg Config, mode Mode) *Machine {
+	t.Helper()
+	cs := guest.CorpusSpec{NFiles: 1, FileSize: 1024, Seed: 5, ChangeFraction: 0.4}
+	spec, err := guest.RsyncBenchmark(cs, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Tree = stats.NewTree()
+	img, err := kern.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(img.Domain, spec.Tree, cfg)
+	m.SwitchMode(mode)
+	return m
+}
+
 // TestHaltedSpansAreNotClocked: the rsync guest sleeps between timer
 // ticks. The cores' cycle counters stand still while it does (that time
 // is cycles_in_mode.idle, which the benchmark subtracts to get its busy
 // cycles): a core is clocked in exactly the stepped and the jumped
-// cycles, and the run equals the reference's.
+// cycles, and the run equals the reference's, which sleeps one cycle at
+// a time — its snapshot series too, so a snapshot due while the domain
+// sleeps holds the counters of its label.
 func TestHaltedSpansAreNotClocked(t *testing.T) {
-	boot := func() *Machine {
-		cs := guest.CorpusSpec{NFiles: 1, FileSize: 1024, Seed: 5, ChangeFraction: 0.4}
-		spec, err := guest.RsyncBenchmark(cs, 20_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Tree = stats.NewTree()
-		img, err := kern.Build(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewMachine(img.Domain, spec.Tree, k8Machine())
-		m.SwitchMode(ModeSim)
-		return m
-	}
-	run, ref := boot(), boot()
+	cfg := k8Machine()
+	cfg.SnapshotCycles = 30_011
+	run, ref := bootRsync(t, cfg, ModeSim), bootRsync(t, cfg, ModeSim)
 	runToShutdown(t, run, "rsync ok")
 	finished(t, ref, runCycleByCycle(ref, 50_000_000), "rsync ok")
 	if got, want := fingerprintOf(t, run), fingerprintOf(t, ref); got != want {
 		t.Fatalf("run differs from the stepped one:\n got %+v\nwant %+v", got, want)
+	}
+	if got, want := run.Series(), ref.Series(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot series differs from the stepped run's (%d and %d snapshots)",
+			len(got.Snapshots), len(want.Snapshots))
 	}
 	busy := uint64(run.Tree.Lookup("core0.cycles").Value())
 	idle := uint64(run.Tree.Lookup("external.cycles_in_mode.idle").Value())
@@ -205,6 +216,27 @@ func TestRunUntilCycleReturnsAtTarget(t *testing.T) {
 	}
 	if m.Jumped == 0 || m.Jumped+m.Stepped != whole.Jumped+whole.Stepped {
 		t.Fatalf("pieces: %d stepped + %d jumped; whole: %d + %d", m.Stepped, m.Jumped, whole.Stepped, whole.Jumped)
+	}
+}
+
+// TestNativeRunInPiecesEqualsWhole: the rsync guest in native mode cut
+// into pieces of 50,000 cycles ends like an uncut one: a step that
+// stops at a piece's end stops where one round per step would have.
+func TestNativeRunInPiecesEqualsWhole(t *testing.T) {
+	whole := bootRsync(t, k8Machine(), ModeNative)
+	runToShutdown(t, whole, "rsync ok")
+	m := bootRsync(t, k8Machine(), ModeNative)
+	for !m.Dom.ShutdownReq {
+		target := m.Cycle + 50_000
+		if err := m.RunUntilCycle(target); err != nil {
+			t.Fatal(err)
+		}
+		if m.Cycle < target && !m.Dom.ShutdownReq {
+			t.Fatalf("RunUntilCycle(%d) returned at cycle %d", target, m.Cycle)
+		}
+	}
+	if got, want := fingerprintOf(t, m), fingerprintOf(t, whole); got != want {
+		t.Fatalf("cut run differs from the whole one:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -362,22 +362,20 @@ const never = ^uint64(0)
 // Halted: every VCPU is asleep with nothing in flight (in native mode,
 // no functional core could run). Nothing happens before the next timer,
 // DMA or trace deadline, the cores are not clocked over the span, and
-// the step ends at the deadline without running a cycle there. This
-// case deliberately ignores bound and the statistics collector, as the
-// idle skip it replaces always has: RunUntilCycle lands on the deadline
-// past its target and a snapshot due inside the span is taken after it.
-// Checkpoint positions of every supervised run follow from that
-// landing, so capping it is a behaviour change with a commit of its own
-// (ROADMAP, housekeeping).
+// the step ends there without running a cycle — or earlier at the next
+// snapshot, so that a snapshot labelled N holds the counters of N while
+// the domain sleeps too. It does not end at bound: RunUntilCycle lands
+// on the deadline past its target, and a supervised run takes one
+// checkpoint per sleep, not one per interval of it (a guest whose timer
+// period is 4·10⁹ cycles sleeps 2·10¹⁰ of them).
 //
 // Stalled: some VCPU is awake, but no stage of any core can do more than
-// count a stall before the earliest of each core's NextEvent, the
-// domain's next deadline (a timer that fires inside a miss is seen by
-// the cores in the cycle it always was), the collector's next snapshot
-// (so a snapshot labelled N holds the counters of N) and bound. One busy
-// core or a deadline that is already due means no jump. With the
-// pipeline auditor on the span is found the same way, but each core then
-// steps through it and checks it (ooo.Core.SkipTo).
+// count a stall before the earliest of each core's NextEvent and
+// nextEvent (a timer that fires inside a miss is seen by the cores in
+// the cycle it always was). One busy core or a deadline that is already
+// due means no jump. With the pipeline auditor on the span is found the
+// same way, but each core then steps through it and checks it
+// (ooo.Core.SkipTo).
 func (m *Machine) horizon(bound uint64) (h uint64, halted bool) {
 	halted = true
 	if m.mode == ModeSim {
@@ -392,11 +390,10 @@ func (m *Machine) horizon(bound uint64) (h uint64, halted bool) {
 		}
 	}
 	if halted {
-		ddl := m.Dom.NextTimerDeadline()
-		if ddl == 0 {
+		if m.Dom.NextTimerDeadline() == 0 {
 			return never, true
 		}
-		return max(ddl, m.Cycle+1), true
+		return max(m.nextEvent(never), m.Cycle+1), true
 	}
 	h = bound
 	for _, c := range m.oooCores {
@@ -405,13 +402,20 @@ func (m *Machine) horizon(bound uint64) (h uint64, halted bool) {
 	if h <= m.Cycle {
 		return m.Cycle, false
 	}
+	return max(min(h, m.nextEvent(bound)), m.Cycle), false
+}
+
+// nextEvent is the first cycle at which something outside the cores can
+// happen: the earliest of bound, the domain's next timer, DMA or trace
+// deadline and the collector's next snapshot.
+func (m *Machine) nextEvent(bound uint64) uint64 {
 	if ddl := m.Dom.NextTimerDeadline(); ddl != 0 {
-		h = min(h, max(ddl, m.Cycle))
+		bound = min(bound, ddl)
 	}
 	if m.collector != nil {
-		h = min(h, m.collector.Next())
+		bound = min(bound, m.collector.Next())
 	}
-	return h, false
+	return bound
 }
 
 // skipTo moves the clock to cycle h > m.Cycle over a span horizon found
@@ -716,12 +720,12 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles uint64) (err error) {
 
 // RunUntilCycle advances until the shared clock reaches target or the
 // domain shuts down. While any VCPU is awake it returns at exactly
-// target in simulation mode (a jump over a stall ends there); when the
-// whole domain is asleep it returns at the next timer deadline, which
-// may lie far past target, and a native-mode quantum overshoots by up
-// to a basic block (horizon's comment has the reason the halted case is
-// left that way). Checkpoint intervals are measured from where it
-// landed.
+// target in simulation mode (a jump over a stall ends there), and a
+// native-mode step that runs a basic block across target overshoots by
+// the rest of that block; when the whole domain is asleep it returns at
+// the next timer deadline, which may lie far past target (horizon's
+// comment has the reason). Checkpoint intervals are measured from where
+// it landed.
 func (m *Machine) RunUntilCycle(target uint64) (err error) {
 	return m.RunUntilCycleCtx(context.Background(), target)
 }
