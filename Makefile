@@ -98,7 +98,7 @@ ooo-profile:
 	./scripts/ooo_profile.sh
 
 # seq-profile attributes the functional engine's host time to the
-# functions on its fetch / execute / memory path (Step, fetchBB, the
+# functions on its fetch / execute / memory path (the run loop, Step, fetch, the
 # lowered-block step loop, the vm and mem translation path, the BB-cache
 # lookup) and
 # lists its allocation sites, from BenchmarkSeqStep under pprof: the

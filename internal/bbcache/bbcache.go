@@ -73,6 +73,11 @@ type Cache struct {
 
 	capacity int
 
+	// gen moves whenever a key's block may stop being the one Get
+	// returns for it: on InvalidatePage, Flush (the flush when full
+	// too) and an insert that replaces a key's block.
+	gen uint64
+
 	hits, misses, invalidations, smcFlushes *stats.Counter
 }
 
@@ -102,6 +107,19 @@ func (c *Cache) Lookup(key Key) (*decode.BasicBlock, bool) {
 		c.misses.Inc()
 	}
 	return e.bb, ok
+}
+
+// Gen returns the cache's generation.
+func (c *Cache) Gen() uint64 { return c.gen }
+
+// Linked reports whether a block Get returned at generation gen is
+// still what it returns for the key, counting the hit Get would if so.
+func (c *Cache) Linked(gen uint64) bool {
+	if gen != c.gen {
+		return false
+	}
+	c.hits.Inc()
+	return true
 }
 
 // Get returns the block at key.RIP for a context whose code maps as
@@ -179,8 +197,11 @@ func (c *Cache) insert(key Key, e entry) {
 		// overhead, not a modeled latency).
 		c.Flush()
 	}
-	if old, ok := c.blocks[key]; ok && old.mfn2 != 0 && old.mfn2 != e.mfn2 {
-		c.untrack(old.mfn2, key)
+	if old, ok := c.blocks[key]; ok {
+		c.gen++
+		if old.mfn2 != 0 && old.mfn2 != e.mfn2 {
+			c.untrack(old.mfn2, key)
+		}
 	}
 	c.dropFront(key)
 	c.blocks[key] = e
@@ -245,6 +266,7 @@ func (c *Cache) InvalidatePage(mfn uint64) int {
 		return 0
 	}
 	c.smcFlushes.Inc()
+	c.gen++
 	n := 0
 	for key := range set {
 		e, present := c.blocks[key]
@@ -276,6 +298,7 @@ func (c *Cache) Flush() {
 	c.byPage = make(map[uint64]map[Key]struct{})
 	c.front = [frontEntries]frontEntry{}
 	c.arena.Drop()
+	c.gen++
 }
 
 // Len returns the number of cached blocks.

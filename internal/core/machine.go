@@ -126,12 +126,16 @@ type Machine struct {
 
 	collector *stats.Collector
 
+	// rounds counts native-mode rounds (a basic block per VCPU) and
+	// simulation-mode steps, for the run loops' context polls.
+	rounds uint64
+
 	// Pending ptlcall command phases.
 	phases []phase
 
 	// Stop conditions for the current phase.
-	stopInsns  int64 // committed-instruction budget (-1 = unlimited)
-	baseInsns  int64
+	stopInsns int64 // committed-instruction budget (-1 = unlimited)
+	baseInsns int64
 
 	// stepHook runs after every successful Step (fault injection and
 	// other instrumentation).
@@ -333,16 +337,22 @@ func (m *Machine) accountCycle(n uint64) {
 
 // advance moves the shared clock forward n cycles with bookkeeping.
 func (m *Machine) advance(n uint64) {
+	m.accountCycle(n)
+	m.Cycle += n
+	m.settle(n)
+}
+
+// settle brings the mode counter, the domain's timers and the collector
+// up to the clock after it moved n cycles.
+func (m *Machine) settle(n uint64) {
 	if n == 0 {
 		return
 	}
-	m.accountCycle(n)
 	if m.mode == ModeNative {
 		m.cyclesNative.Add(int64(n))
 	} else {
 		m.cyclesSim.Add(int64(n))
 	}
-	m.Cycle += n
 	m.Dom.Tick(m.Cycle)
 	if m.collector != nil {
 		m.collector.Tick(m.Cycle)
@@ -406,8 +416,7 @@ func (m *Machine) horizon(bound uint64) (h uint64, halted bool) {
 }
 
 // nextEvent is the first cycle at which something outside the cores can
-// happen: the earliest of bound, the domain's next timer, DMA or trace
-// deadline and the collector's next snapshot.
+// happen: bound, the next timer, DMA or trace deadline, or snapshot.
 func (m *Machine) nextEvent(bound uint64) uint64 {
 	if ddl := m.Dom.NextTimerDeadline(); ddl != 0 {
 		bound = min(bound, ddl)
@@ -437,40 +446,60 @@ func (m *Machine) skipTo(h uint64, halted bool) error {
 	return nil
 }
 
-// stepNative advances native mode by one scheduling quantum (one basic
-// block per VCPU), advancing virtual time by NativeCPI per instruction.
+// stepNative advances native mode to the next event. A round runs one
+// basic block on every VCPU and advances virtual time by NativeCPI per
+// instruction (at least a cycle), charged to the class VCPU0 has after
+// it. With one VCPU, no step hook and no per-step instruction bound,
+// rounds follow each other until the cycle reaches nextEvent, the phase's
+// instruction stop or the next context poll is reached, or a block does
+// not end in seqcore.StepOn (DESIGN.md §5). Only the guest's clock moves
+// per round; settle brings the rest up to it when the step ends.
 func (m *Machine) stepNative(bound uint64) error {
-	before := int64(0)
-	for _, c := range m.seqCores {
-		before += c.Insns()
+	chain := len(m.seqCores) == 1 && m.stepHook == nil && m.seqCores[0].MaxInsnsPerStep == 0
+	limit, left := m.nextEvent(bound), int64(1<<63-1)
+	if m.stopInsns >= 0 {
+		left = m.stopInsns - (m.Insns() - m.baseInsns)
 	}
-	ran := false
-	for _, c := range m.seqCores {
-		kind, err := c.Step()
-		if err != nil {
-			return err
+	start, insns := m.Cycle, m.seqInsns()
+	for {
+		m.rounds++
+		ran, on := false, chain
+		for _, c := range m.seqCores {
+			kind, err := c.Step()
+			if err != nil {
+				m.settle(m.Cycle - start)
+				return err
+			}
+			ran = ran || kind != seqcore.StepIdle
+			on = on && kind == seqcore.StepOn
 		}
-		if kind == seqcore.StepRan {
-			ran = true
+		if !ran { // every VCPU asleep: the first round, as the last one was StepOn
+			h, halted := m.horizon(bound)
+			if h == never {
+				return m.deadlockErr(halted)
+			}
+			return m.skipTo(h, halted)
 		}
+		after := m.seqInsns()
+		n := max(1, uint64(float64(after-insns)*m.cfg.NativeCPI))
+		m.accountCycle(n)
+		m.Cycle += n
+		left -= after - insns
+		if insns = after; !on || m.Cycle >= limit || left <= 0 || m.rounds%ctxCheckInterval == 0 {
+			break
+		}
+		m.Dom.Clock.Cycle = m.Cycle // what an assist in the next block reads
 	}
-	after := int64(0)
+	m.settle(m.Cycle - start)
+	return nil
+}
+
+// seqInsns returns the instructions the functional cores committed.
+func (m *Machine) seqInsns() (n int64) {
 	for _, c := range m.seqCores {
-		after += c.Insns()
+		n += c.Insns()
 	}
-	if ran {
-		n := uint64(float64(after-before) * m.cfg.NativeCPI)
-		if n == 0 {
-			n = 1
-		}
-		m.advance(n)
-		return nil
-	}
-	h, halted := m.horizon(bound)
-	if h == never {
-		return m.deadlockErr(halted)
-	}
-	return m.skipTo(h, halted)
+	return n
 }
 
 // deadlockErr builds the structured error for a machine whose horizon
@@ -523,6 +552,7 @@ func (m *Machine) stepSim(bound uint64) error {
 		}
 	}
 	m.Stepped++
+	m.rounds++
 	m.advance(1)
 	return nil
 }
@@ -578,10 +608,11 @@ func (m *Machine) guard(err *error) {
 	*err = se
 }
 
-// ctxCheckInterval bounds how many steps may pass between context
-// cancellation checks in the run loops: small enough that a SIGINT
-// interrupts within microseconds of wall time, large enough to keep
-// Err() polling off the per-cycle hot path.
+// ctxCheckInterval is how many rounds (see Machine.rounds) pass between
+// context cancellation checks in the run loops: few enough that a
+// SIGINT interrupts within microseconds of wall time, enough to keep
+// Err() polling off the per-cycle hot path. A native step ends at a
+// multiple of it, and the loops poll at each multiple.
 const ctxCheckInterval = 4096
 
 // interruptErr wraps a context cancellation with the machine position
@@ -636,10 +667,10 @@ func (m *Machine) RunUntilInsnsCtx(ctx context.Context, target int64, maxCycles 
 	if maxCycles > 0 {
 		bound = start + maxCycles
 	}
-	check := 0
+	poll := m.rounds
 	for m.Insns() < target && !m.Dom.ShutdownReq {
-		if check--; check <= 0 {
-			check = ctxCheckInterval
+		if m.rounds >= poll {
+			poll = m.rounds - m.rounds%ctxCheckInterval + ctxCheckInterval
 			if cerr := ctx.Err(); cerr != nil {
 				return m.interruptErr(cerr)
 			}
@@ -696,10 +727,10 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles uint64) (err error) {
 	if maxCycles > 0 {
 		bound = maxCycles
 	}
-	check := 0
+	poll := m.rounds
 	for !m.Dom.ShutdownReq {
-		if check--; check <= 0 {
-			check = ctxCheckInterval
+		if m.rounds >= poll {
+			poll = m.rounds - m.rounds%ctxCheckInterval + ctxCheckInterval
 			if cerr := ctx.Err(); cerr != nil {
 				return m.interruptErr(cerr)
 			}
@@ -733,10 +764,10 @@ func (m *Machine) RunUntilCycle(target uint64) (err error) {
 // RunUntilCycleCtx is RunUntilCycle with cooperative cancellation.
 func (m *Machine) RunUntilCycleCtx(ctx context.Context, target uint64) (err error) {
 	defer m.guard(&err)
-	check := 0
+	poll := m.rounds
 	for m.Cycle < target && !m.Dom.ShutdownReq {
-		if check--; check <= 0 {
-			check = ctxCheckInterval
+		if m.rounds >= poll {
+			poll = m.rounds - m.rounds%ctxCheckInterval + ctxCheckInterval
 			if cerr := ctx.Err(); cerr != nil {
 				return m.interruptErr(cerr)
 			}

@@ -37,10 +37,11 @@ type group struct {
 type status uint8
 
 const (
-	stNext  status = iota // go on with the next step
-	stLeft                // the instruction completed and left the block (ctx.RIP is set)
-	stFault               // c.fault was raised: the instruction does not complete
-	stError               // the step cannot run (c.err)
+	stNext   status = iota // go on with the next step
+	stLeft                 // a branch completed its instruction and left the block (ctx.RIP is set)
+	stAssist               // an assist completed its instruction and left the block
+	stFault                // c.fault was raised: the instruction does not complete
+	stError                // the step cannot run (c.err)
 )
 
 // Step kinds: what the hooked loop reports and a fault counts.
@@ -277,7 +278,7 @@ func assist(c *Core, s *step) status {
 	if c.fault = vm.ExecAssist(c.Ctx, s.u, c.Sys, vm.NopCoreHooks{}); c.fault != uops.FaultNone {
 		return stFault
 	}
-	return stLeft
+	return stAssist
 }
 
 func (c *Core) save(*step) status {
@@ -344,7 +345,7 @@ func (c *Core) execHooked(b *block, from, to int) (int, status) {
 				c.evCommit(clock+int64(b.groups[s.group+1].insns), g.rip, g.lastOp)
 			}
 		}
-		if st == stLeft {
+		if st != stNext {
 			return i, st
 		}
 	}
@@ -361,10 +362,9 @@ func (noObserver) OnBranch(uint64, bool, uint64, uops.BranchKind) {}
 func (noObserver) OnFetchBlock(uint64, uint64)                    {}
 func (noObserver) OnAddressSpaceSwitch(uint64)                    {}
 
-// run executes groups [from, to) of b, counts what completed and
-// delivers a fault if a step raised one. left reports whether an
-// instruction left the block.
-func (c *Core) run(b *block, from, to int) (left bool, err error) {
+// run executes groups [from, to) of b, counts what completed, delivers
+// a fault if a step raised one, and returns how it ended (stNext: at to).
+func (c *Core) run(b *block, from, to int) (status, error) {
 	c.Ctx.Regs[uops.RegZero] = 0
 	exec := c.exec
 	if c.Obs != nil || c.ev != nil {
@@ -374,16 +374,16 @@ func (c *Core) run(b *block, from, to int) (left bool, err error) {
 	if st == stNext {
 		c.count(b, from, to)
 		c.Ctx.RIP = b.groups[to].rip
-		return false, nil
+		return st, nil
 	}
 	g := int(b.steps[i].group)
-	if st == stLeft {
+	if st < stFault {
 		c.count(b, from, g+1)
-		return true, nil
+		return st, nil
 	}
 	c.count(b, from, g)
 	if st == stError {
-		return true, c.err
+		return st, c.err
 	}
 	// The faulting instruction does not complete, but its loads and
 	// stores before the fault count, and so does an assist's uop.
@@ -399,7 +399,7 @@ func (c *Core) run(b *block, from, to int) (left bool, err error) {
 		c.uopsC.Inc()
 	}
 	c.rollback(b.groups[g].undo)
-	return true, c.deliverFault(c.fault, b.steps[i].u.RIP)
+	return st, c.deliverFault(c.fault, b.steps[i].u.RIP)
 }
 
 // count adds the counters of the completed groups [from, to).

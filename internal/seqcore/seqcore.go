@@ -27,6 +27,7 @@ type StepKind int
 const (
 	StepRan  StepKind = iota // executed at least one instruction
 	StepIdle                 // VCPU halted with no pending event
+	StepOn                   // ran a block that left through a branch or its fall-through, no event deliverable: the next may follow at once
 )
 
 // errShadowFault is the sentinel a phantom-mode core returns instead of
@@ -89,6 +90,8 @@ type Core struct {
 
 	// MaxInsnsPerStep bounds one Step call (0 = one basic block).
 	MaxInsnsPerStep int
+
+	links [linkEntries]link // the successor table (see fetch), allocated with the core
 
 	// phantom puts the core in shadow-oracle mode (see NewShadow):
 	// stores are buffered in shadowStores instead of written to physical
@@ -194,16 +197,17 @@ func (c *Core) StepShadow(noCount bool) ([]mem.Store, uops.Fault, error) {
 	b, g := c.shadowBlock, c.shadowIdx
 	if b == nil || g >= len(b.groups)-1 || b.groups[g].rip != c.Ctx.RIP ||
 		(noCount && !b.groups[g].noCount) {
-		bb, fault := c.fetchBB()
-		if fault != uops.FaultNone {
+		var fault uops.Fault
+		if b, fault = c.fetch(); fault != uops.FaultNone {
 			return nil, fault, nil
 		}
-		b, g = c.lowered(bb), 0
+		g = 0
 	}
 	c.shadowBlock, c.shadowIdx = nil, 0
 	for {
 		matched := b.groups[g].noCount == noCount
-		left, err := c.run(b, g, g+1)
+		st, err := c.run(b, g, g+1)
+		left := st != stNext
 		if err != nil {
 			if errors.Is(err, errShadowFault) {
 				return nil, c.shadowFault, nil
@@ -234,9 +238,6 @@ func (c *Core) ResetShadow() {
 // Insns returns the number of x86 instructions committed by this core.
 func (c *Core) Insns() int64 { return c.insns.Value() }
 
-// Uops returns the number of uops executed.
-func (c *Core) Uops() int64 { return c.uopsC.Value() }
-
 // rollback discards the current instruction's buffered stores and, if
 // it saved the registers (undo), restores them.
 func (c *Core) rollback(undo bool) {
@@ -257,9 +258,7 @@ func (c *Core) commitStores() {
 		if !c.phantom {
 			_ = c.Ctx.M.PM.WriteStore(s)
 		}
-		if c.bb != nil {
-			c.smcFlushes.Add(int64(c.bb.InvalidateStore(s)))
-		}
+		c.smcFlushes.Add(int64(c.bb.InvalidateStore(s)))
 	}
 	if c.phantom {
 		c.shadowStores = append(c.shadowStores, c.stores...)
@@ -267,9 +266,26 @@ func (c *Core) commitStores() {
 	c.stores = c.stores[:0]
 }
 
-// fetchBB obtains the translated basic block at the context's RIP.
-func (c *Core) fetchBB() (*decode.BasicBlock, uops.Fault) {
+const linkEntries = 512 // successor-table entries (24 KiB; the rsync guest runs under 400 blocks)
+
+// link is a successor-table entry: the block fetched at rip and what that depended on.
+type link struct {
+	rip, cr3, xgen, bgen uint64 // xgen: PhysMem's translation generation, bgen: the BB cache's
+	b                    *block
+	kernel               bool
+}
+
+// fetch returns the lowered block at the context's RIP: from the
+// successor table while its entry holds (DESIGN.md §5, "Native mode runs
+// to the next event"), else through the I-side translation and Get.
+func (c *Core) fetch() (*block, uops.Fault) {
 	ctx := c.Ctx
+	chain := c.Obs == nil && ctx.CachesTranslations()
+	l := &c.links[(ctx.RIP^ctx.RIP>>9)&(linkEntries-1)]
+	if chain && l.rip == ctx.RIP && l.b != nil && l.cr3 == ctx.CR3 && l.kernel == ctx.Kernel &&
+		l.xgen == ctx.M.PM.TranslationGen() && c.bb.Linked(l.bgen) {
+		return l.b, uops.FaultNone
+	}
 	pa, fault := ctx.Translate(ctx.RIP, false, true)
 	if fault != uops.FaultNone {
 		return nil, fault
@@ -277,10 +293,15 @@ func (c *Core) fetchBB() (*decode.BasicBlock, uops.Fault) {
 	if c.Obs != nil {
 		c.Obs.OnFetchBlock(ctx.RIP, pa)
 	}
-	if c.bb == nil {
-		return decode.BuildBB(ctx.FetchCode, ctx.RIP)
+	bb, fault := c.bb.Get(bbcache.Key{RIP: ctx.RIP, MFN: pa >> mem.PageShift, Kernel: ctx.Kernel}, ctx)
+	if fault != uops.FaultNone {
+		return nil, fault
 	}
-	return c.bb.Get(bbcache.Key{RIP: ctx.RIP, MFN: pa >> mem.PageShift, Kernel: ctx.Kernel}, ctx)
+	b := c.lowered(bb)
+	if chain {
+		*l = link{rip: ctx.RIP, cr3: ctx.CR3, kernel: ctx.Kernel, xgen: ctx.M.PM.TranslationGen(), bgen: c.bb.Gen(), b: b}
+	}
+	return b, uops.FaultNone
 }
 
 // deliverFault routes a uop fault at rip through the guest's trap
@@ -289,12 +310,11 @@ func (c *Core) fetchBB() (*decode.BasicBlock, uops.Fault) {
 // would write a bounce frame into guest memory, which only the primary
 // engine may do.
 func (c *Core) deliverFault(f uops.Fault, rip uint64) error {
+	c.Ctx.RIP = rip
 	if c.phantom {
-		c.Ctx.RIP = rip
 		c.shadowFault = f
 		return errShadowFault
 	}
-	c.Ctx.RIP = rip
 	vec, errInfo := vm.FaultVector(c.Ctx, f)
 	return c.Ctx.DeliverException(vec, errInfo, rip)
 }
@@ -305,11 +325,10 @@ func (c *Core) deliverFault(f uops.Fault, rip uint64) error {
 func (c *Core) Step() (StepKind, error) {
 	ctx := c.Ctx
 	if !ctx.Running {
-		if c.Sys.EventPending(ctx) && ctx.IF() {
-			ctx.Running = true
-		} else {
+		if !c.Sys.EventPending(ctx) || !ctx.IF() {
 			return StepIdle, nil
 		}
+		ctx.Running = true
 	}
 	if ctx.IF() && c.Sys.EventPending(ctx) {
 		if err := ctx.DeliverEvent(); err != nil {
@@ -322,18 +341,19 @@ func (c *Core) Step() (StepKind, error) {
 		c.Obs.OnAddressSpaceSwitch(ctx.CR3)
 	}
 
-	bb, fault := c.fetchBB()
+	b, fault := c.fetch()
 	if fault != uops.FaultNone {
 		c.rollback(false)
 		return StepRan, c.deliverFault(fault, ctx.RIP)
 	}
-	b := c.lowered(bb)
 	to := len(b.groups) - 1
 	if c.MaxInsnsPerStep > 0 {
 		to = b.limit(c.MaxInsnsPerStep)
 	}
-	_, err := c.run(b, 0, to)
-	return StepRan, err
+	if st, err := c.run(b, 0, to); st > stLeft || ctx.IF() && c.Sys.EventPending(ctx) {
+		return StepRan, err
+	}
+	return StepOn, nil
 }
 
 // loadValue reads memory for a load uop, forwarding from the current

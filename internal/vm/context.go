@@ -82,6 +82,10 @@ func NewContext(m *Machine, id int) *Context {
 	return &Context{M: m, ID: id, Running: true, xlate: new(xlateCache)}
 }
 
+// CachesTranslations reports whether c has a translation cache (a Clone
+// has none, so its walks mark no page-table frames for TranslationGen).
+func (c *Context) CachesTranslations() bool { return c.xlate != nil }
+
 // Flags returns the current RFLAGS value.
 func (c *Context) Flags() uint64 { return c.Regs[uops.RegFlags] }
 

@@ -13,7 +13,13 @@ out=seq-profile-data
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
 
-funcs='seqcore\.\(\*Core\)\.(Step|fetchBB|run|exec|lower|loadValue|commitStores)$|seqcore\.(execUop|load|store)$|vm\.\(\*Context\)\.(Translate|ReadVirt)$|mem\.Walk$|mem\.\(\*PhysMem\)\.(Read|Write|WriteStore)$|bbcache\.\(\*Cache\)\.(Get|InvalidateStore)$|uops\.Exec$|runtime\.mapaccess'
+# The block boundary: the machine's run loop around seqcore.Step, Step's
+# own preamble, run / count around the step loop (their flat time), and
+# the block fetch with everything it calls (cum): the successor table,
+# else the I-side translation and the BB-cache lookup.
+boundary='core\.\(\*Machine\)\.(RunCtx|RunUntilCycleCtx|step|stepNative|advance|postStep|nextEvent)$|seqcore\.\(\*Core\)\.(Step|run|count)$'
+fetch='seqcore\.\(\*Core\)\.fetch(BB)?$'
+funcs="$boundary|$fetch"'|seqcore\.\(\*Core\)\.(exec|lower|loadValue|commitStores)$|seqcore\.(execUop|load|store)$|vm\.\(\*Context\)\.(Translate|ReadVirt)$|mem\.Walk$|mem\.\(\*PhysMem\)\.(Read|Write|WriteStore)$|bbcache\.\(\*Cache\)\.(Get|Linked|InvalidateStore)$|uops\.Exec$|runtime\.mapaccess'
 
 for run in rsync:3 memwalk-like:50; do
 	guest=${run%:*}
@@ -26,7 +32,9 @@ for run in rsync:3 memwalk-like:50; do
 	echo "-- host time by function, as a share of Machine.Run (cum = the function and everything it calls)"
 	go tool pprof -top -cum -focus 'core\.\(\*Machine\)\.Run$' -relative_percentages -show "$funcs" \
 		"$out/seq.test" "$out/$guest.cpu.pprof" 2>/dev/null |
-		grep -E 'flat%|seqcore\.|vm\.|mem\.|bbcache\.|uops\.|runtime\.mapaccess'
+		tee "$out/$guest.top.txt" | grep -E 'flat%|core\.|vm\.|mem\.|bbcache\.|uops\.|runtime\.mapaccess'
+	re=$boundary fetch=$fetch awk '$6 ~ ENVIRON["re"] { s += $2 } $6 ~ ENVIRON["fetch"] { s += $5 }
+		END { printf "-- block boundary: %.1f%% of Machine.Run\n", s }' "$out/$guest.top.txt"
 	echo "-- allocation sites (bytes allocated over the whole run, boot included)"
 	go tool pprof -sample_index=alloc_space -top -nodecount 8 "$out/seq.test" "$out/$guest.mem.pprof" 2>/dev/null |
 		sed -n '/flat%/,$p'
