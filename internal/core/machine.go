@@ -372,12 +372,15 @@ const never = ^uint64(0)
 // Halted: every VCPU is asleep with nothing in flight (in native mode,
 // no functional core could run). Nothing happens before the next timer,
 // DMA or trace deadline, the cores are not clocked over the span, and
-// the step ends there without running a cycle — or earlier at the next
-// snapshot, so that a snapshot labelled N holds the counters of N while
-// the domain sleeps too. It does not end at bound: RunUntilCycle lands
-// on the deadline past its target, and a supervised run takes one
-// checkpoint per sleep, not one per interval of it (a guest whose timer
-// period is 4·10⁹ cycles sleeps 2·10¹⁰ of them).
+// the step ends at the deadline without running a cycle there. This
+// case deliberately ignores bound and the statistics collector, as the
+// idle skip it replaces always has: RunUntilCycle lands on the deadline
+// past its target and a snapshot due inside the span is taken after it.
+// Capping it at either makes a supervised run of a sleeping guest take
+// a checkpoint per interval of the sleep, not one per sleep: the
+// checkpoint loop starts a new interval where RunUntilCycle landed, and
+// a restored machine's collector starts again from cycle 0 (ROADMAP
+// item 1(a)).
 //
 // Stalled: some VCPU is awake, but no stage of any core can do more than
 // count a stall before the earliest of each core's NextEvent and
@@ -400,10 +403,11 @@ func (m *Machine) horizon(bound uint64) (h uint64, halted bool) {
 		}
 	}
 	if halted {
-		if m.Dom.NextTimerDeadline() == 0 {
+		ddl := m.Dom.NextTimerDeadline()
+		if ddl == 0 {
 			return never, true
 		}
-		return max(m.nextEvent(never), m.Cycle+1), true
+		return max(ddl, m.Cycle+1), true
 	}
 	h = bound
 	for _, c := range m.oooCores {
