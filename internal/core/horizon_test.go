@@ -41,7 +41,9 @@ func stepOneCycle(m *Machine) error {
 		}
 	}
 	m.Stepped++
-	m.advance(1)
+	m.accountCycle(1)
+	m.Cycle++
+	m.settle(1)
 	return nil
 }
 

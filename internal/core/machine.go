@@ -335,15 +335,8 @@ func (m *Machine) accountCycle(n uint64) {
 	}
 }
 
-// advance moves the shared clock forward n cycles with bookkeeping.
-func (m *Machine) advance(n uint64) {
-	m.accountCycle(n)
-	m.Cycle += n
-	m.settle(n)
-}
-
 // settle brings the mode counter, the domain's timers and the collector
-// up to the clock after it moved n cycles.
+// up to the clock after it moved n cycles (each charged by accountCycle).
 func (m *Machine) settle(n uint64) {
 	if n == 0 {
 		return
@@ -443,10 +436,13 @@ func (m *Machine) skipTo(h uint64, halted bool) error {
 			return err
 		}
 	}
+	n := h - m.Cycle
 	if !halted {
-		m.Jumped += h - m.Cycle
+		m.Jumped += n
 	}
-	m.advance(h - m.Cycle)
+	m.accountCycle(n)
+	m.Cycle = h
+	m.settle(n)
 	return nil
 }
 
@@ -557,7 +553,9 @@ func (m *Machine) stepSim(bound uint64) error {
 	}
 	m.Stepped++
 	m.rounds++
-	m.advance(1)
+	m.accountCycle(1)
+	m.Cycle++
+	m.settle(1)
 	return nil
 }
 

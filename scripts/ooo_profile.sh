@@ -19,7 +19,7 @@ mkdir -p "$out"
 out=$(cd "$out" && pwd)
 
 stages='ooo\.\(\*Core\)\.(Cycle|commit|writeback|issue|execute|applyRedirects|rename|fetch)$'
-around='core\.\(\*Machine\)\.(stepSim|horizon|skipTo|advance)$|ooo\.\(\*Core\)\.(NextEvent|nextEvent|SkipTo)$|cache\.\(\*Hierarchy\)\.(mshrAlloc|Store|Load)$|cache\.\(\*Cache\)\.Fill$'
+around='core\.\(\*Machine\)\.(stepSim|horizon|skipTo|settle)$|ooo\.\(\*Core\)\.(NextEvent|nextEvent|SkipTo)$|cache\.\(\*Hierarchy\)\.(mshrAlloc|Store|Load)$|cache\.\(\*Cache\)\.Fill$'
 
 # top prints the functions matching $1 as shares of Machine.Run.
 top() {

@@ -17,7 +17,7 @@ out=$(cd "$out" && pwd)
 # own preamble, run / count around the step loop (their flat time), and
 # the block fetch with everything it calls (cum): the successor table,
 # else the I-side translation and the BB-cache lookup.
-boundary='core\.\(\*Machine\)\.(RunCtx|RunUntilCycleCtx|step|stepNative|advance|postStep|nextEvent)$|seqcore\.\(\*Core\)\.(Step|run|count)$'
+boundary='core\.\(\*Machine\)\.(RunCtx|RunUntilCycleCtx|step|stepNative|settle|postStep|nextEvent)$|seqcore\.\(\*Core\)\.(Step|run|count)$'
 fetch='seqcore\.\(\*Core\)\.fetch(BB)?$'
 funcs="$boundary|$fetch"'|seqcore\.\(\*Core\)\.(exec|lower|loadValue|commitStores)$|seqcore\.(execUop|load|store)$|vm\.\(\*Context\)\.(Translate|ReadVirt)$|mem\.Walk$|mem\.\(\*PhysMem\)\.(Read|Write|WriteStore)$|bbcache\.\(\*Cache\)\.(Get|Linked|InvalidateStore)$|uops\.Exec$|runtime\.mapaccess'
 
